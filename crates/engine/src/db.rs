@@ -7,8 +7,9 @@
 //! and writers go through an optimistic commit pipeline:
 //!
 //! 1. A [`Session`] executes a transaction against its snapshot with
-//!    [`Engine::execute_traced`], producing an [`Execution`] — the
-//!    candidate successor state plus the [`Delta`] of the run.
+//!    [`Engine::execute_traced`], producing an
+//!    [`Execution`](crate::exec::Execution) — the candidate successor
+//!    state plus the [`Delta`] of the run.
 //! 2. [`Session::commit`] takes the head lock. If the head is still the
 //!    session's snapshot, the candidate is validated and installed.
 //! 3. If the head moved, the commit is *forwarded* when the
@@ -24,6 +25,10 @@
 //!    a fresh snapshot after a bounded exponential backoff, up to
 //!    [`RetryPolicy::max_retries`] times, then surfaces
 //!    [`CommitError::RetriesExhausted`].
+//!
+//! However the candidate was chosen — and for the event dispatcher's
+//! engine-internal commits too — one routine, `Database::stage`, makes
+//! it the current state; nothing else calls `Head::install`.
 //!
 //! Constraint validation runs before installation, under the head lock
 //! (commits serialize; readers never block). Each registered
@@ -49,36 +54,36 @@
 //! validation runs and read-set skips, a `commit.validate` span, and a
 //! `commit.log_wait` span covering the wait for group ack.
 
-use crate::env::Env;
+mod builder;
+mod error;
+mod footprint;
+mod head;
+mod options;
+mod session;
+#[cfg(test)]
+mod tests;
+
+pub use builder::DatabaseBuilder;
+pub use error::{CommitError, CommitTicket};
+pub use footprint::Footprint;
+pub use options::{IsolationLevel, RetryPolicy, SessionOptions};
+pub use session::{Commit, Prepared, Session};
+
 use crate::events::{EventCallback, EventHub, SubId};
-use crate::exec::{Engine, EvalOptions, Execution};
-use crate::group::{GroupCommitter, Slot, SubmitError, WriterOp};
+use crate::exec::{Engine, EvalOptions};
+use crate::group::{GroupCommitter, WriterOp};
 use crate::sim::{ProtocolBug, StepHook, StepPoint};
-use crate::wal::{self, Durability, FileStore, LogStore, RecoveryReport, Wal, WalError};
-use std::collections::{BTreeSet, VecDeque};
-use std::fmt;
+use crate::wal::{Durability, RecoveryReport, Wal, WalError};
+use head::Head;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use txlog_base::obs::{Counter, Metrics};
-use txlog_base::{Atom, RelId, Symbol, TxError, TxResult};
-use txlog_events::{Pattern, PatternDef};
-use txlog_logic::plan::find_membership_rel;
-use txlog_logic::{FFormula, FTerm, ObjSort, Sort, Var};
+use txlog_base::{Atom, RelId, TxError, TxResult};
+use txlog_events::Pattern;
 use txlog_relational::{DbState, Delta, Schema};
-
-/// How many recent `(version, delta)` pairs the head retains for
-/// conflict analysis. A session whose snapshot is older than the log can
-/// still commit — it just always takes the conservative conflict path.
-const DELTA_LOG_CAP: usize = 64;
-
-/// Default bound on the group-commit submission queue
-/// ([`DatabaseBuilder::log_queue_cap`]). Deep enough that overload only
-/// fires when the log writer is genuinely stalled, shallow enough that
-/// memory stays bounded when it is.
-const DEFAULT_LOG_QUEUE_CAP: usize = 1024;
 
 /// An integrity constraint checkable at commit time.
 ///
@@ -109,718 +114,18 @@ pub trait CommitConstraint: Send + Sync {
     fn check(&self, schema: &Schema, states: &[DbState], labels: &[&str]) -> TxResult<bool>;
 }
 
-/// The static read/write footprint of a transaction: an
-/// over-approximation of every relation executing it can touch, split
-/// into the relations it may *read* and those it may *write*.
-///
-/// `foreach`/quantifier/set-former variables bounded by a membership
-/// conjunct (`x ∈ R ∧ …`) contribute their relation to the read set;
-/// the write primitives contribute their target relation to the write
-/// set, with `modify` resolved through the enumeration binding of its
-/// tuple variable. Anything the analysis cannot bound — program
-/// variables, tuple parameters, atom quantifiers (whose domain is every
-/// atom in the state), user functions — poisons the footprint to
-/// [`Footprint::all`], which conflicts with every concurrent commit
-/// (always sound, never clever).
-///
-/// The read/write split is what the [`IsolationLevel`] spectrum prices:
-/// snapshot sessions validate the *union* against concurrent deltas,
-/// read-committed sessions only their write set, and serializable
-/// sessions additionally certify the session's accumulated statement
-/// reads at commit time.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Footprint {
-    /// Relations the program may read; `None` when unbounded.
-    reads: Option<BTreeSet<Symbol>>,
-    /// Relations the program may write; `None` when unbounded.
-    writes: Option<BTreeSet<Symbol>>,
-}
-
-/// Whether a (possibly unbounded) relation set intersects the relations
-/// a delta touched. Unbounded sets overlap every non-empty delta;
-/// relations the schema does not know are treated as overlapping.
-fn set_overlaps_delta(set: &Option<BTreeSet<Symbol>>, schema: &Schema, delta: &Delta) -> bool {
-    match set {
-        None => !delta.is_empty(),
-        Some(rels) => delta
-            .touched()
-            .any(|rid| schema.by_id(rid).map_or(true, |d| rels.contains(&d.name))),
-    }
-}
-
-impl Footprint {
-    /// The unbounded footprint: may read and write anything.
-    pub fn all() -> Footprint {
-        Footprint {
-            reads: None,
-            writes: None,
-        }
-    }
-
-    /// The empty footprint: provably touches nothing. The identity of
-    /// [`Footprint::merge`], used as the seed of a session's accumulated
-    /// read set.
-    pub fn empty() -> Footprint {
-        Footprint {
-            reads: Some(BTreeSet::new()),
-            writes: Some(BTreeSet::new()),
-        }
-    }
-
-    /// Analyze a transaction program.
-    pub fn of_program(t: &FTerm) -> Footprint {
-        let mut w = FpWalker {
-            reads: BTreeSet::new(),
-            writes: BTreeSet::new(),
-            bound: Vec::new(),
-        };
-        if w.term(t) {
-            Footprint {
-                reads: Some(w.reads),
-                writes: Some(w.writes),
-            }
-        } else {
-            Footprint::all()
-        }
-    }
-
-    /// Analyze a truth-valued formula: everything it touches is a read.
-    pub fn of_formula(p: &FFormula) -> Footprint {
-        let mut w = FpWalker {
-            reads: BTreeSet::new(),
-            writes: BTreeSet::new(),
-            bound: Vec::new(),
-        };
-        if w.formula(p) {
-            Footprint {
-                reads: Some(w.reads),
-                writes: Some(w.writes),
-            }
-        } else {
-            Footprint::all()
-        }
-    }
-
-    /// True iff the analysis could not bound the footprint.
-    pub fn is_all(&self) -> bool {
-        self.reads.is_none() || self.writes.is_none()
-    }
-
-    /// The bounded read set, if the analysis produced one.
-    pub fn reads(&self) -> Option<&BTreeSet<Symbol>> {
-        self.reads.as_ref()
-    }
-
-    /// The bounded write set, if the analysis produced one.
-    pub fn writes(&self) -> Option<&BTreeSet<Symbol>> {
-        self.writes.as_ref()
-    }
-
-    /// The bounded relation set — the union of reads and writes — if
-    /// the analysis produced one.
-    pub fn rels(&self) -> Option<BTreeSet<Symbol>> {
-        match (&self.reads, &self.writes) {
-            (Some(r), Some(w)) => Some(r.union(w).copied().collect()),
-            _ => None,
-        }
-    }
-
-    /// Everything this footprint touches, demoted to reads — how a
-    /// dry-run execution is accounted: nothing was written, but the
-    /// caller observed state derived from every relation the program
-    /// touched (a written relation's candidate content reveals its prior
-    /// content too).
-    pub fn as_reads(&self) -> Footprint {
-        Footprint {
-            reads: self.rels(),
-            writes: Some(BTreeSet::new()),
-        }
-    }
-
-    /// True when the read set is non-empty (or unbounded) — i.e. there
-    /// is something to certify.
-    pub fn has_reads(&self) -> bool {
-        self.reads.as_ref().map_or(true, |r| !r.is_empty())
-    }
-
-    /// Union `other` into this footprint; poison is absorbing.
-    pub fn merge(&mut self, other: &Footprint) {
-        self.reads = match (self.reads.take(), &other.reads) {
-            (Some(mut mine), Some(theirs)) => {
-                mine.extend(theirs.iter().copied());
-                Some(mine)
-            }
-            _ => None,
-        };
-        self.writes = match (self.writes.take(), &other.writes) {
-            (Some(mut mine), Some(theirs)) => {
-                mine.extend(theirs.iter().copied());
-                Some(mine)
-            }
-            _ => None,
-        };
-    }
-
-    /// Whether the full footprint (reads ∪ writes) intersects the
-    /// relations a delta touched — the snapshot-isolation conflict test.
-    pub fn overlaps_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.reads, schema, delta)
-            || set_overlaps_delta(&self.writes, schema, delta)
-    }
-
-    /// Whether the write set intersects the relations a delta touched —
-    /// the read-committed (first-committer-wins) conflict test.
-    pub fn writes_overlap_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.writes, schema, delta)
-    }
-
-    /// Whether the read set intersects the relations a delta touched —
-    /// the serializable read-certification test.
-    pub fn reads_overlap_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.reads, schema, delta)
-    }
-}
-
-struct FpWalker {
-    reads: BTreeSet<Symbol>,
-    writes: BTreeSet<Symbol>,
-    /// Enumeration variables currently in scope, newest last, each with
-    /// the relation its membership conjunct bounds it to.
-    bound: Vec<(Var, Symbol)>,
-}
-
-impl FpWalker {
-    fn lookup(&self, v: Var) -> Option<Symbol> {
-        self.bound
-            .iter()
-            .rev()
-            .find(|(b, _)| *b == v)
-            .map(|(_, r)| *r)
-    }
-
-    /// Bind `v` through a membership conjunct of `cond`, recording the
-    /// relation. `None` (poison) for atom variables — their fallback
-    /// domain enumerates every atom in the state — and for tuple
-    /// variables without a bounding conjunct.
-    fn bind_through(&mut self, v: Var, cond: &FFormula) -> Option<()> {
-        match v.sort {
-            Sort::Obj(ObjSort::Tup(_)) => {
-                let rel = find_membership_rel(cond, v)?;
-                self.reads.insert(rel);
-                self.bound.push((v, rel));
-                Some(())
-            }
-            _ => None,
-        }
-    }
-
-    /// Returns false when the footprint cannot be bounded; the caller
-    /// discards everything, so the binding stack need not be unwound on
-    /// that path.
-    fn term(&mut self, t: &FTerm) -> bool {
-        match t {
-            FTerm::Identity | FTerm::Nat(_) | FTerm::Str(_) => true,
-            FTerm::Var(v) => match v.sort {
-                // an atom value comes straight from the environment
-                Sort::Obj(ObjSort::Atom) => true,
-                // a tuple variable re-reads its current fields from the
-                // state: bounded only when we know which relation holds it
-                Sort::Obj(ObjSort::Tup(_)) => self.lookup(*v).is_some(),
-                // program / state / situational variables: opaque
-                _ => false,
-            },
-            FTerm::Rel(r) => {
-                self.reads.insert(*r);
-                true
-            }
-            FTerm::Attr(_, inner) | FTerm::Select(inner, _) | FTerm::IdOf(inner) => {
-                self.term(inner)
-            }
-            FTerm::TupleCons(ts) | FTerm::App(_, ts) => ts.iter().all(|t| self.term(t)),
-            FTerm::UserApp(..) => false,
-            FTerm::SetFormer { head, vars, cond } => {
-                let depth = self.bound.len();
-                for v in vars {
-                    if self.bind_through(*v, cond).is_none() {
-                        return false;
-                    }
-                }
-                let ok = self.formula(cond) && self.term(head);
-                self.bound.truncate(depth);
-                ok
-            }
-            FTerm::Seq(a, b) => self.term(a) && self.term(b),
-            FTerm::Cond(p, a, b) => self.formula(p) && self.term(a) && self.term(b),
-            FTerm::Foreach(v, p, body) => {
-                let depth = self.bound.len();
-                if self.bind_through(*v, p).is_none() {
-                    return false;
-                }
-                let ok = self.formula(p) && self.term(body);
-                self.bound.truncate(depth);
-                ok
-            }
-            FTerm::Insert(tup, rel) | FTerm::Delete(tup, rel) => {
-                self.writes.insert(*rel);
-                self.term(tup)
-            }
-            FTerm::Modify(tup, _, val) | FTerm::ModifyAttr(tup, _, val) => {
-                // the write lands wherever the tuple lives; bounded only
-                // for a tuple variable whose relation the enumeration fixed
-                match &**tup {
-                    FTerm::Var(v) => match self.lookup(*v) {
-                        Some(rel) => {
-                            self.writes.insert(rel);
-                            self.term(val)
-                        }
-                        None => false,
-                    },
-                    _ => false,
-                }
-            }
-            FTerm::Assign(rel, set) => {
-                self.writes.insert(*rel);
-                self.term(set)
-            }
-        }
-    }
-
-    fn formula(&mut self, p: &FFormula) -> bool {
-        match p {
-            FFormula::True | FFormula::False => true,
-            FFormula::Cmp(_, a, b) | FFormula::Member(a, b) | FFormula::Subset(a, b) => {
-                self.term(a) && self.term(b)
-            }
-            FFormula::Not(q) => self.formula(q),
-            FFormula::And(a, b)
-            | FFormula::Or(a, b)
-            | FFormula::Implies(a, b)
-            | FFormula::Iff(a, b) => self.formula(a) && self.formula(b),
-            FFormula::Exists(v, body) | FFormula::Forall(v, body) => {
-                let depth = self.bound.len();
-                if self.bind_through(*v, body).is_none() {
-                    return false;
-                }
-                let ok = self.formula(body);
-                self.bound.truncate(depth);
-                ok
-            }
-            FFormula::UserPred(..) => false,
-        }
-    }
-}
-
-/// Retry/backoff policy for optimistic commits.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Re-executions allowed after the first conflicted attempt before
-    /// [`CommitError::RetriesExhausted`].
-    pub max_retries: u32,
-    /// First backoff delay; doubles per retry. Zero disables sleeping
-    /// (useful for deterministic tests).
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff delay.
-    pub backoff_cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 8,
-            backoff_base: Duration::from_micros(100),
-            backoff_cap: Duration::from_millis(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that retries up to `max_retries` times without sleeping.
-    pub fn no_backoff(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-        }
-    }
-
-    fn delay(&self, retry: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let mult = 1u32.checked_shl(retry.min(16)).unwrap_or(u32::MAX);
-        self.backoff_base
-            .checked_mul(mult)
-            .unwrap_or(self.backoff_cap)
-            .min(self.backoff_cap)
-    }
-}
-
-/// The concurrency contract a [`Session`] runs under — which anomalies
-/// the session tolerates in exchange for cheaper commits.
-///
-/// * [`ReadCommitted`](IsolationLevel::ReadCommitted) re-pins the head
-///   snapshot at every statement boundary ([`Session::execute`],
-///   [`Session::prepare`], [`Session::ask`], and each commit call), and
-///   conflicts only on *write-write* overlap with concurrently
-///   committed deltas (first committer wins). Non-repeatable reads
-///   between statements are permitted; lost updates are not.
-/// * [`Snapshot`](IsolationLevel::Snapshot) — the default — keeps the
-///   session pinned to one snapshot and conflicts when the *full*
-///   program footprint (reads ∪ writes) overlaps concurrent deltas.
-///   Statements always see one consistent state; write skew across
-///   statement-level reads is permitted.
-/// * [`Serializable`](IsolationLevel::Serializable) extends snapshot
-///   validation with SSI-style read certification: the session
-///   accumulates the read footprint of every statement it runs, and a
-///   commit aborts with [`CommitError::SerializationFailure`] when any
-///   concurrently committed delta intersects that read set. Stale reads
-///   cannot be repaired by re-execution, so the failure is fatal rather
-///   than retried — callers restart the whole transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub enum IsolationLevel {
-    /// Statement-level snapshots, write-write conflict detection only.
-    ReadCommitted,
-    /// One snapshot per transaction, full-footprint conflict detection.
-    #[default]
-    Snapshot,
-    /// Snapshot plus commit-time certification of accumulated reads.
-    Serializable,
-}
-
-impl IsolationLevel {
-    /// Every level, weakest first.
-    pub const ALL: [IsolationLevel; 3] = [
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::Snapshot,
-        IsolationLevel::Serializable,
-    ];
-
-    /// Stable kebab-case name, used on the wire and in the REPL.
-    pub fn name(self) -> &'static str {
-        match self {
-            IsolationLevel::ReadCommitted => "read-committed",
-            IsolationLevel::Snapshot => "snapshot",
-            IsolationLevel::Serializable => "serializable",
-        }
-    }
-
-    /// Parse a level name as typed in a REPL (`read-committed`,
-    /// `snapshot`, `serializable`, plus the usual abbreviations).
-    pub fn parse(s: &str) -> Option<IsolationLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "read-committed" | "read_committed" | "readcommitted" | "rc" => {
-                Some(IsolationLevel::ReadCommitted)
-            }
-            "snapshot" | "si" => Some(IsolationLevel::Snapshot),
-            "serializable" | "ssi" => Some(IsolationLevel::Serializable),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for IsolationLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Per-session configuration, consumed by [`Database::session_with`].
-///
-/// ```
-/// # use txlog_engine::db::{Database, IsolationLevel, RetryPolicy, SessionOptions};
-/// # use txlog_relational::Schema;
-/// # let schema = Schema::new().relation("EMP", &["name"]).unwrap();
-/// # let db = Database::new(schema).unwrap();
-/// let session = db.session_with(
-///     SessionOptions::serializable()
-///         .retry(RetryPolicy::no_backoff(4))
-///         .label_prefix("etl/"),
-/// );
-/// assert_eq!(session.isolation(), IsolationLevel::Serializable);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SessionOptions {
-    /// The session's isolation level.
-    pub isolation: IsolationLevel,
-    /// The session's retry policy; `None` inherits the database-wide
-    /// default ([`DatabaseBuilder::default_retry`]).
-    pub retry: Option<RetryPolicy>,
-    /// Prepended verbatim to every commit label this session produces —
-    /// a namespace for the history's transaction arcs.
-    pub label_prefix: Option<String>,
-}
-
-impl SessionOptions {
-    /// Default options: snapshot isolation, database-default retries.
-    pub fn new() -> SessionOptions {
-        SessionOptions::default()
-    }
-
-    /// Options at [`IsolationLevel::ReadCommitted`].
-    pub fn read_committed() -> SessionOptions {
-        SessionOptions::new().isolation(IsolationLevel::ReadCommitted)
-    }
-
-    /// Options at [`IsolationLevel::Snapshot`].
-    pub fn snapshot() -> SessionOptions {
-        SessionOptions::new().isolation(IsolationLevel::Snapshot)
-    }
-
-    /// Options at [`IsolationLevel::Serializable`].
-    pub fn serializable() -> SessionOptions {
-        SessionOptions::new().isolation(IsolationLevel::Serializable)
-    }
-
-    /// Set the isolation level.
-    pub fn isolation(mut self, level: IsolationLevel) -> SessionOptions {
-        self.isolation = level;
-        self
-    }
-
-    /// Set a session-specific retry policy (overrides the database
-    /// default).
-    pub fn retry(mut self, retry: RetryPolicy) -> SessionOptions {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Set the commit-label prefix.
-    pub fn label_prefix(mut self, prefix: impl Into<String>) -> SessionOptions {
-        self.label_prefix = Some(prefix.into());
-        self
-    }
-}
-
-/// Why a commit did not install.
-#[derive(Debug)]
-pub enum CommitError {
-    /// The head moved past the session's snapshot and the transaction's
-    /// footprint overlapped the concurrently committed deltas. Only
-    /// [`Session::try_commit`] surfaces this; [`Session::commit`]
-    /// retries until the policy is exhausted.
-    Conflict {
-        /// The head version the commit raced against.
-        head_version: u64,
-    },
-    /// The candidate state violated a registered constraint. Not
-    /// retried: the transaction itself produces an illegal state.
-    ConstraintViolation {
-        /// Name of the violated constraint.
-        constraint: String,
-    },
-    /// Every attempt permitted by the [`RetryPolicy`] conflicted.
-    RetriesExhausted {
-        /// Total execution attempts made.
-        attempts: u32,
-    },
-    /// A [`Serializable`](IsolationLevel::Serializable) session's
-    /// accumulated read set intersected a concurrently committed delta
-    /// (or the head's delta log no longer reached back far enough to
-    /// prove it did not). Stale reads cannot be repaired by
-    /// re-executing the commit, so this is fatal — restart the whole
-    /// transaction, reads included, from a fresh session or after
-    /// [`Session::refresh`].
-    SerializationFailure {
-        /// The head version the certification ran against.
-        head_version: u64,
-    },
-    /// The transaction failed to execute, or a constraint check errored.
-    Execution(TxError),
-    /// The group-commit submission queue is full: the log writer is not
-    /// keeping up with the commit rate. The commit did *not* install (the
-    /// queue is checked before a version is consumed) and is not retried
-    /// automatically — backpressure is the caller's decision.
-    Overload {
-        /// The configured queue capacity ([`DatabaseBuilder::log_queue_cap`]).
-        capacity: usize,
-    },
-    /// The write-ahead log could not persist the commit record. If the
-    /// error surfaced at submit time (a poisoned log), the commit did not
-    /// install. If it surfaced from the [`CommitTicket`] wait, the commit
-    /// *did* install — it is visible in memory but unacknowledged, the
-    /// log is poisoned, and crash recovery may or may not retain it;
-    /// reopen the database to resume committing.
-    Durability(WalError),
-}
-
-impl fmt::Display for CommitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommitError::Conflict { head_version } => write!(
-                f,
-                "commit conflict: head advanced to version {head_version} with \
-                 overlapping changes"
-            ),
-            CommitError::ConstraintViolation { constraint } => {
-                write!(f, "commit rejected: constraint {constraint} violated")
-            }
-            CommitError::RetriesExhausted { attempts } => {
-                write!(f, "commit gave up after {attempts} conflicted attempts")
-            }
-            CommitError::SerializationFailure { head_version } => write!(
-                f,
-                "commit aborted: a delta committed before version {head_version} \
-                 intersects this serializable session's reads"
-            ),
-            CommitError::Execution(e) => write!(f, "commit failed to execute: {e}"),
-            CommitError::Overload { capacity } => write!(
-                f,
-                "commit rejected: the log submission queue is full ({capacity} pending)"
-            ),
-            CommitError::Durability(e) => {
-                write!(f, "commit could not be made durable: {e}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CommitError {
-    /// The wrapped cause, for the variants that carry one: walking the
-    /// chain from a [`CommitError::Durability`] reaches the
-    /// [`WalError`], and from there any [`CodecError`] or engine error
-    /// underneath — which is what lets a wire-protocol front end map
-    /// commit failures to typed errors without string matching.
-    ///
-    /// [`CodecError`]: txlog_relational::codec::CodecError
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CommitError::Execution(e) => Some(e),
-            CommitError::Durability(e) => Some(e),
-            CommitError::Conflict { .. }
-            | CommitError::ConstraintViolation { .. }
-            | CommitError::RetriesExhausted { .. }
-            | CommitError::SerializationFailure { .. }
-            | CommitError::Overload { .. } => None,
-        }
-    }
-}
-
-impl From<TxError> for CommitError {
-    fn from(e: TxError) -> CommitError {
-        CommitError::Execution(e)
-    }
-}
-
-/// Receipt for a successfully installed commit.
-#[derive(Clone, Copy, Debug)]
-pub struct Commit {
-    /// The head version this commit produced (versions start at 0 for
-    /// the initial state and increase by 1 per commit).
-    pub version: u64,
-    /// How many conflicted attempts preceded the successful one.
-    pub retries: u32,
-    /// True when the commit installed by forwarding its delta onto a
-    /// moved head instead of re-executing.
-    pub forwarded: bool,
-}
-
-/// Handle on a commit's durability acknowledgment.
-///
-/// A durable commit *installs* (becomes visible to new snapshots) under
-/// the head lock, but is only *acknowledged* once the log writer has
-/// fsynced the batch containing its record. The ticket is that
-/// acknowledgment: [`CommitTicket::wait`] blocks until the batch
-/// flushes (what [`Session::commit`] does internally);
-/// [`Session::submit_prepared`] hands the ticket to the caller instead,
-/// so a pipeline of commits can overlap their waits. Without durability
-/// the ticket is born complete.
-pub struct CommitTicket {
-    /// `None` when durability is off: nothing to wait for.
-    slot: Option<Arc<Slot>>,
-    metrics: Metrics,
-}
-
-impl CommitTicket {
-    /// Block until the log writer acknowledges (or fails) the commit.
-    /// An `Err` means the commit is installed in memory but its record
-    /// never became durable and the log is poisoned — see
-    /// [`CommitError::Durability`].
-    pub fn wait(&self) -> Result<(), CommitError> {
-        match &self.slot {
-            None => Ok(()),
-            Some(slot) => {
-                let _span = self.metrics.span("commit.log_wait");
-                slot.wait()
-                    .map_err(|e| CommitError::Durability(e.into_wal()))
-            }
-        }
-    }
-
-    /// The acknowledgment if it already happened (non-blocking).
-    pub fn try_result(&self) -> Option<Result<(), CommitError>> {
-        match &self.slot {
-            None => Some(Ok(())),
-            Some(slot) => slot
-                .try_result()
-                .map(|r| r.map_err(|e| CommitError::Durability(e.into_wal()))),
-        }
-    }
-
-    /// True once the log writer has decided this commit's fate (always
-    /// true without durability).
-    pub fn is_complete(&self) -> bool {
-        self.try_result().is_some()
-    }
-}
-
-/// Map a submission rejection (which happens before the commit consumes
-/// a version) onto the public error type.
-fn submit_error(e: SubmitError) -> CommitError {
-    match e {
-        SubmitError::Overload { capacity } => CommitError::Overload { capacity },
-        SubmitError::Poisoned { detail } => CommitError::Durability(WalError::Poisoned { detail }),
-    }
-}
-
-/// The committed head plus the bookkeeping the pipeline needs.
-struct Head {
-    version: u64,
-    state: Arc<DbState>,
-    /// Trailing committed states, oldest first, ending at `state`;
-    /// bounded by the largest constraint window.
-    recent: VecDeque<Arc<DbState>>,
-    /// `labels[i]` names the commit that produced `recent[i + 1]`.
-    labels: VecDeque<String>,
-    /// Recent committed deltas as `(version_after, delta)`, oldest
-    /// first, for composing "what happened since snapshot v".
-    log: VecDeque<(u64, Delta)>,
-}
-
-impl Head {
-    /// Compose the deltas committed after `since`, oldest first, or
-    /// `None` if the log no longer reaches back that far.
-    fn delta_since(&self, since: u64) -> Option<Delta> {
-        let needed = self.version - since;
-        let tail: Vec<&Delta> = self
-            .log
-            .iter()
-            .filter(|(v, _)| *v > since)
-            .map(|(_, d)| d)
-            .collect();
-        if tail.len() as u64 != needed {
-            return None;
-        }
-        let mut out = Delta::empty();
-        for d in tail {
-            out = out.compose(d);
-        }
-        Some(out)
-    }
-
-    fn install(&mut self, label: &str, state: Arc<DbState>, delta: Delta, keep_states: usize) {
-        self.version += 1;
-        self.state = Arc::clone(&state);
-        self.recent.push_back(state);
-        self.labels.push_back(label.to_string());
-        while self.recent.len() > keep_states.max(1) {
-            self.recent.pop_front();
-            self.labels.pop_front();
-        }
-        self.log.push_back((self.version, delta));
-        while self.log.len() > DELTA_LOG_CAP {
-            self.log.pop_front();
-        }
-    }
+/// Which of the three kinds of commit [`Database::stage`] is installing:
+/// the kind decides the two skippable steps and the outcome counter.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CommitKind {
+    /// A session's candidate, executed against the head it installs on.
+    Direct,
+    /// A session's delta rebased onto a head that moved disjointly.
+    Forwarded,
+    /// The event dispatcher materializing `rows` new matches. Engine-
+    /// internal: not validated (system relations carry no constraints)
+    /// and not fed back to the event hub (no feedback loops).
+    System { rows: u64 },
 }
 
 /// A shared database: one committed head, any number of snapshot
@@ -857,6 +162,7 @@ pub struct Database {
     /// the head lock and dispatched through the registered automata
     /// after it is released (see [`crate::events`]).
     events: EventHub,
+    /// Reached only through [`Database::head`].
     head: Mutex<Head>,
 }
 
@@ -880,56 +186,23 @@ impl Drop for Database {
 }
 
 impl Database {
-    /// A database over `schema`, starting from its initial (empty) state.
+    /// A database over `schema`, starting from its initial (empty)
+    /// state: [`Database::builder`] with every default.
     pub fn new(schema: Schema) -> TxResult<Database> {
-        let initial = schema.initial_state();
-        Database::with_initial(schema, initial)
+        Database::builder(schema).build()
     }
 
-    /// A database starting from an explicit state. Validates the schema
-    /// the way [`Engine::builder`] does.
+    /// A database starting from an explicit state:
+    /// [`Database::builder`] with [`DatabaseBuilder::initial`].
     pub fn with_initial(schema: Schema, initial: DbState) -> TxResult<Database> {
-        // surface schema problems at construction, not first commit
-        Engine::builder(&schema).build()?;
-        let state = Arc::new(initial);
-        Ok(Database {
-            schema,
-            opts: EvalOptions::default(),
-            metrics: Metrics::current(),
-            retry: RetryPolicy::default(),
-            default_isolation: IsolationLevel::default(),
-            constraints: Vec::new(),
-            max_window: 1,
-            hook: None,
-            committer: None,
-            writer_thread: None,
-            events: EventHub::new(),
-            head: Mutex::new(Head {
-                version: 0,
-                state: Arc::clone(&state),
-                recent: VecDeque::from([state]),
-                labels: VecDeque::new(),
-                log: VecDeque::new(),
-            }),
-        })
+        Database::builder(schema).initial(initial).build()
     }
 
-    /// Start configuring a database over `schema` — the way to reach the
-    /// durability options.
+    /// Start configuring a database over `schema` — evaluation options,
+    /// metrics, retry and isolation defaults, constraints, event
+    /// patterns, durability.
     pub fn builder(schema: Schema) -> DatabaseBuilder {
-        DatabaseBuilder {
-            schema,
-            initial: None,
-            opts: EvalOptions::default(),
-            metrics: None,
-            retry: RetryPolicy::default(),
-            default_isolation: IsolationLevel::default(),
-            durability: Durability::Off,
-            constraints: Vec::new(),
-            event_defs: Vec::new(),
-            queue_cap: DEFAULT_LOG_QUEUE_CAP,
-            manual_writer: false,
-        }
+        DatabaseBuilder::new(schema)
     }
 
     /// Open (or create) a durable database whose write-ahead log lives at
@@ -947,28 +220,12 @@ impl Database {
             .open_path(path)
     }
 
-    /// Replace the evaluation options sessions execute with.
-    pub fn with_options(mut self, opts: EvalOptions) -> Database {
-        self.opts = opts;
-        self
-    }
-
-    /// Thread an explicit observability sink (default: the
-    /// process-global recorder).
-    pub fn with_metrics(mut self, metrics: Metrics) -> Database {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Replace the database-wide default commit retry policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure retries per session via `SessionOptions::retry`, or \
-                the database-wide default via `DatabaseBuilder::default_retry`"
-    )]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Database {
-        self.retry = retry;
-        self
+    /// Lock the head — the one way to reach it. A poisoned lock is
+    /// recovered, not propagated: the head is mutated only by
+    /// `Head::install`, which runs after validation and cannot unwind,
+    /// so a panic under the lock left the head consistent.
+    fn head(&self) -> MutexGuard<'_, Head> {
+        self.head.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Install a [`StepHook`]: every nondeterministic decision point in
@@ -1031,10 +288,7 @@ impl Database {
     ) -> TxResult<SubId> {
         // The hub records history only while it has registrations; the
         // head's recent delta log fills the gap for a first subscriber.
-        let primer: Vec<(u64, Delta)> = {
-            let head = self.head.lock().expect("db head lock");
-            head.log.iter().cloned().collect()
-        };
+        let primer: Vec<(u64, Delta)> = self.head().log.iter().cloned().collect();
         self.events.subscribe(
             name,
             pattern,
@@ -1054,7 +308,7 @@ impl Database {
     /// Drain the event hub: advance every automaton over the newly
     /// committed deltas, install materializations, invoke subscribers.
     /// Called by the commit pipeline after releasing the head lock, and
-    /// by the recovery replay in `open_store`.
+    /// by the builder's recovery replay.
     fn dispatch_events(&self) {
         if !self.events.is_active() {
             return;
@@ -1065,19 +319,15 @@ impl Database {
     }
 
     /// Install a pattern's new matches as tuples of its system
-    /// relation: an engine-internal commit that skips constraint
-    /// validation and the event hub (no feedback loops), inserts
-    /// if-absent (so recovery replay is idempotent), and is WAL-logged
-    /// like any other commit. Rows already present consume no version.
+    /// relation: a [`CommitKind::System`] commit that inserts if-absent
+    /// (so recovery replay is idempotent) and is WAL-logged like any
+    /// other commit. Rows already present consume no version.
     fn install_system_rows(&self, name: &str, rel: RelId, rows: Vec<Vec<Atom>>) {
-        let mut head = self.head.lock().expect("db head lock");
+        let mut head = self.head();
         let mut state = (*head.state).clone();
         let mut inserted = 0u64;
         for row in rows {
-            let exists = state
-                .relation(rel)
-                .is_some_and(|r| r.iter().any(|t| t.fields() == row.as_slice()));
-            if exists {
+            if state.relation(rel).is_some_and(|r| r.contains_fields(&row)) {
                 continue;
             }
             if let Ok((next, _)) = state.insert_fields(rel, &row) {
@@ -1088,22 +338,59 @@ impl Database {
         if inserted == 0 {
             return;
         }
-        let label = format!("events/{name}");
         let delta = head.state.diff(&state);
+        let kind = CommitKind::System { rows: inserted };
+        // A poisoned or overloaded log rejects the record before
+        // anything installs: skip rather than let memory diverge from
+        // what recovery can reconstruct — the match re-fires from the
+        // replayed WAL suffix on reopen.
+        let _ = self.stage(&mut head, &format!("events/{name}"), state, delta, kind);
+    }
+
+    /// The atomic section of every commit: make the candidate
+    /// `(state, delta)` the current state, or fail leaving the head as
+    /// it was. In order: validate (not engine-internal commits); encode
+    /// the log record and submit it to the group committer, the last
+    /// point of failure; install; count; enqueue for event dispatch
+    /// (not engine-internal commits) — under the head lock, so queue
+    /// order is commit order. Caller holds the lock and dispatches
+    /// events after releasing it. The append and fsync run on the
+    /// log-writer thread; the [`CommitTicket`] resolves when they have.
+    fn stage(
+        &self,
+        head: &mut Head,
+        label: &str,
+        state: DbState,
+        delta: Delta,
+        kind: CommitKind,
+    ) -> Result<(u64, Arc<DbState>, CommitTicket), CommitError> {
+        let internal = matches!(kind, CommitKind::System { .. });
+        if !internal {
+            self.validate(head, &state, &delta, label)?;
+        }
         let version = head.version + 1;
         let state = Arc::new(state);
-        if let Some(c) = &self.committer {
-            let payload = Wal::encode_commit(version, &label, &delta, &state);
-            if c.submit(version, payload, Arc::clone(&state)).is_err() {
-                // Poisoned or overloaded log: skip the install rather
-                // than let memory diverge from what recovery can
-                // reconstruct — the match re-fires from the replayed
-                // WAL suffix on reopen.
-                return;
-            }
+        let submitted = self.committer.as_ref().map(|c| {
+            let payload = Wal::encode_commit(version, label, &delta, &state);
+            c.submit(version, payload, Arc::clone(&state))
+        });
+        let slot = submitted.transpose().map_err(error::submit_error)?;
+        let evt = (!internal && self.events.is_active()).then(|| delta.clone());
+        self.step(StepPoint::Install);
+        head.install(label, Arc::clone(&state), delta, self.max_window);
+        match kind {
+            CommitKind::Direct => self.metrics.bump(Counter::CommitsApplied),
+            CommitKind::Forwarded => self.metrics.bump(Counter::CommitsForwarded),
+            CommitKind::System { rows } => self.metrics.add(Counter::EvtMaterialized, rows),
         }
-        self.metrics.add(Counter::EvtMaterialized, inserted);
-        head.install(&label, Arc::clone(&state), delta, self.max_window);
+        if let Some(d) = evt {
+            self.events.enqueue(version, d);
+        }
+        let ticket = CommitTicket {
+            slot,
+            metrics: self.metrics.clone(),
+        };
+        Ok((version, state, ticket))
     }
 
     /// The group-commit stage, for the deterministic simulator (which
@@ -1132,28 +419,16 @@ impl Database {
     /// does not hold.
     pub fn add_constraint(&mut self, c: Box<dyn CommitConstraint>) -> TxResult<()> {
         let k = c.window_states().max(1);
-        {
-            let head = self.head.lock().expect("db head lock");
-            let take = k.min(head.recent.len());
-            let states: Vec<DbState> = head
-                .recent
-                .iter()
-                .skip(head.recent.len() - take)
-                .map(|s| (**s).clone())
-                .collect();
-            let labels: Vec<&str> = head
-                .labels
-                .iter()
-                .skip(head.labels.len() - (take - 1))
-                .map(String::as_str)
-                .collect();
-            if !c.check(&self.schema, &states, &labels)? {
-                return Err(TxError::eval(format!(
-                    "constraint {} does not hold at the current head; a database \
-                     only accepts constraints its committed state satisfies",
-                    c.name()
-                )));
-            }
+        let holds = {
+            let head = self.head();
+            self.check(&*c, &head.window(k, None))?
+        };
+        if !holds {
+            return Err(TxError::eval(format!(
+                "constraint {} does not hold at the current head; a database \
+                 only accepts constraints its committed state satisfies",
+                c.name()
+            )));
         }
         self.max_window = self.max_window.max(k);
         self.constraints.push(c);
@@ -1183,12 +458,12 @@ impl Database {
     /// An `Arc` share of the committed head state. Readers hold it as
     /// long as they like; commits never mutate shared states.
     pub fn snapshot(&self) -> Arc<DbState> {
-        Arc::clone(&self.head.lock().expect("db head lock").state)
+        Arc::clone(&self.head().state)
     }
 
     /// The committed head version (0 = initial state).
     pub fn head_version(&self) -> u64 {
-        self.head.lock().expect("db head lock").version
+        self.head().version
     }
 
     /// The isolation level [`Database::session`] opens at.
@@ -1224,16 +499,24 @@ impl Database {
             IsolationLevel::Snapshot => Counter::SessionsSnapshot,
             IsolationLevel::Serializable => Counter::SessionsSerializable,
         });
-        self.step(StepPoint::Pin);
-        let head = self.head.lock().expect("db head lock");
-        Session {
-            db: self,
-            base_version: head.version,
-            base: Arc::clone(&head.state),
-            reads_since: head.version,
-            read_fp: Footprint::empty(),
-            opts,
-        }
+        Session::open(self, opts)
+    }
+
+    /// Decide one constraint over a window. Checks are caller code
+    /// running under the head lock, so a panic in one is caught and
+    /// reported as an error naming the constraint.
+    fn check(
+        &self,
+        c: &dyn CommitConstraint,
+        (states, labels): &(Vec<DbState>, Vec<&str>),
+    ) -> TxResult<bool> {
+        let checked = catch_unwind(AssertUnwindSafe(|| c.check(&self.schema, states, labels)));
+        checked.unwrap_or_else(|_| {
+            let name = c.name();
+            Err(TxError::eval(format!(
+                "constraint {name} panicked during validation"
+            )))
+        })
     }
 
     /// Validate a candidate commit against the registered constraints,
@@ -1269,28 +552,7 @@ impl Database {
         // states plus the candidate, with the commit label closing it.
         let jobs: Vec<(Vec<DbState>, Vec<&str>)> = affected
             .iter()
-            .map(|c| {
-                let want_prior = c.window_states().max(1) - 1;
-                let take = want_prior.min(head.recent.len());
-                let mut states: Vec<DbState> = head
-                    .recent
-                    .iter()
-                    .skip(head.recent.len() - take)
-                    .map(|s| (**s).clone())
-                    .collect();
-                states.push(candidate.clone());
-                let mut labels: Vec<&str> = if take > 0 {
-                    head.labels
-                        .iter()
-                        .skip(head.labels.len() - (take - 1))
-                        .map(String::as_str)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                labels.push(label);
-                (states, labels)
-            })
+            .map(|c| head.window(c.window_states().max(1) - 1, Some((candidate, label))))
             .collect();
         // under a hook, validate serially: the simulator's schedules
         // must not depend on worker-pool timing
@@ -1304,32 +566,31 @@ impl Database {
         };
         let results: Vec<Mutex<Option<TxResult<bool>>>> =
             affected.iter().map(|_| Mutex::new(None)).collect();
+        let run = |i: usize| {
+            let verdict = self.check(affected[i], &jobs[i]);
+            *results[i].lock().expect("validation slot") = Some(verdict);
+        };
         if workers <= 1 {
-            for (i, c) in affected.iter().enumerate() {
-                let (states, labels) = &jobs[i];
-                *results[i].lock().expect("validation slot") =
-                    Some(c.check(&self.schema, states, labels));
-            }
+            (0..affected.len()).for_each(run);
         } else {
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
                         let i = cursor.fetch_add(1, Relaxed);
-                        let Some(c) = affected.get(i) else { break };
-                        let (states, labels) = &jobs[i];
-                        let verdict = c.check(&self.schema, states, labels);
-                        *results[i].lock().expect("validation slot") = Some(verdict);
+                        if i >= affected.len() {
+                            break;
+                        }
+                        run(i);
                     });
                 }
             });
         }
         // report deterministically: first failure in registration order
-        for (i, c) in affected.iter().enumerate() {
-            let verdict = results[i]
-                .lock()
+        for (c, slot) in affected.iter().zip(results) {
+            let verdict = slot
+                .into_inner()
                 .expect("validation slot")
-                .take()
                 .expect("every validation job ran");
             match verdict {
                 Ok(true) => {}
@@ -1342,1687 +603,5 @@ impl Database {
             }
         }
         Ok(())
-    }
-}
-
-/// Configures a [`Database`]: initial state, evaluation options,
-/// metrics, retry policy, commit constraints, and — the part the plain
-/// constructors cannot reach — [`Durability`].
-///
-/// ```no_run
-/// # use txlog_engine::db::Database;
-/// # use txlog_engine::wal::Durability;
-/// # use txlog_relational::Schema;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let schema = Schema::new().relation("EMP", &["name", "salary"])?;
-/// let (db, report) = Database::builder(schema)
-///     .durability(Durability::Wal { sync_every: 1, checkpoint_every: 256 })
-///     .open_path("emp.wal")?;
-/// assert_eq!(db.head_version(), report.version);
-/// # Ok(())
-/// # }
-/// ```
-pub struct DatabaseBuilder {
-    schema: Schema,
-    initial: Option<DbState>,
-    opts: EvalOptions,
-    metrics: Option<Metrics>,
-    retry: RetryPolicy,
-    default_isolation: IsolationLevel,
-    durability: Durability,
-    constraints: Vec<Box<dyn CommitConstraint>>,
-    event_defs: Vec<PatternDef>,
-    queue_cap: usize,
-    manual_writer: bool,
-}
-
-/// Extend `state` with (empty) instances of any schema relations it
-/// lacks — an explicit [`DatabaseBuilder::initial`] state predates the
-/// system relations that [`DatabaseBuilder::event_pattern`] declares.
-fn ensure_schema_relations(schema: &Schema, mut state: DbState) -> TxResult<DbState> {
-    for d in schema.decls() {
-        if state.relation(d.id).is_none() {
-            state = state.with_relation(d.id, d.arity())?;
-        }
-    }
-    Ok(state)
-}
-
-impl DatabaseBuilder {
-    /// Start from an explicit state instead of the schema's initial
-    /// (empty) one. Ignored when `open_*` recovers state from a
-    /// non-empty log.
-    pub fn initial(mut self, state: DbState) -> DatabaseBuilder {
-        self.initial = Some(state);
-        self
-    }
-
-    /// Evaluation options for sessions.
-    pub fn options(mut self, opts: EvalOptions) -> DatabaseBuilder {
-        self.opts = opts;
-        self
-    }
-
-    /// Observability sink (default: the process-global recorder).
-    pub fn metrics(mut self, metrics: Metrics) -> DatabaseBuilder {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Commit retry policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `DatabaseBuilder::default_retry` (sessions can \
-                override it via `SessionOptions::retry`)"
-    )]
-    pub fn retry(self, retry: RetryPolicy) -> DatabaseBuilder {
-        self.default_retry(retry)
-    }
-
-    /// Default commit retry policy for sessions that do not set their
-    /// own ([`SessionOptions::retry`]).
-    pub fn default_retry(mut self, retry: RetryPolicy) -> DatabaseBuilder {
-        self.retry = retry;
-        self
-    }
-
-    /// Isolation level [`Database::session`] opens at (default:
-    /// [`IsolationLevel::Snapshot`]). Sessions opened through
-    /// [`Database::session_with`] choose their own level explicitly.
-    pub fn default_isolation(mut self, level: IsolationLevel) -> DatabaseBuilder {
-        self.default_isolation = level;
-        self
-    }
-
-    /// Durability policy. [`Durability::Wal`] takes effect through
-    /// [`open_path`](DatabaseBuilder::open_path) /
-    /// [`open_store`](DatabaseBuilder::open_store);
-    /// [`build`](DatabaseBuilder::build) is the in-memory path and
-    /// requires [`Durability::Off`].
-    pub fn durability(mut self, durability: Durability) -> DatabaseBuilder {
-        self.durability = durability;
-        self
-    }
-
-    /// Register a commit-time constraint. Checked against the head at
-    /// construction — including a *recovered* head, which is how
-    /// recovery verifies the log replay still satisfies every
-    /// constraint.
-    pub fn constraint(mut self, c: Box<dyn CommitConstraint>) -> DatabaseBuilder {
-        self.constraints.push(c);
-        self
-    }
-
-    /// Register an event pattern. A materializing definition
-    /// ([`PatternDef::materialized`]) declares its target relation here
-    /// — as a *system* relation, before any log is opened, which is what
-    /// lets WAL recovery compare schemas and replay the dispatcher's own
-    /// commits. Patterns must not watch system relations (a
-    /// materialization feeding an automaton would loop), and
-    /// materialization columns must be variables every match certainly
-    /// binds ([`Pattern::certain_vars`]).
-    pub fn event_pattern(mut self, def: PatternDef) -> TxResult<DatabaseBuilder> {
-        if self.event_defs.iter().any(|d| d.name == def.name) {
-            return Err(TxError::schema(format!(
-                "event pattern {} is already registered",
-                def.name
-            )));
-        }
-        if let Some(m) = &def.materialize {
-            let certain = def.pattern.certain_vars();
-            for c in &m.columns {
-                if !certain.contains(&Symbol::new(c)) {
-                    return Err(TxError::schema(format!(
-                        "event pattern {}: materialization column {c} is not \
-                         certainly bound by the pattern",
-                        def.name
-                    )));
-                }
-            }
-            let attrs: Vec<&str> = m.columns.iter().map(String::as_str).collect();
-            self.schema.add_system_relation(&m.relation, &attrs)?;
-        }
-        crate::events::check_def(&def, &self.schema)?;
-        self.event_defs.push(def);
-        Ok(self)
-    }
-
-    /// Bound on the group-commit submission queue: commits beyond it
-    /// fail with [`CommitError::Overload`] instead of growing memory
-    /// while the log writer is stalled. Values of 0 are treated as 1.
-    pub fn log_queue_cap(mut self, cap: usize) -> DatabaseBuilder {
-        self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Do not spawn the dedicated log-writer thread: the caller drives
-    /// the committer explicitly through
-    /// [`Database::pump_log_writer`] (or, in the deterministic
-    /// simulator, one micro-step at a time). A [`CommitTicket`] only
-    /// resolves after the writer is pumped, so blocking commit calls
-    /// ([`Session::commit`] and friends) would deadlock — use
-    /// [`Session::submit_prepared`] in this mode.
-    pub fn manual_log_writer(mut self) -> DatabaseBuilder {
-        self.manual_writer = true;
-        self
-    }
-
-    /// Build an in-memory database ([`Durability::Off`] only — opening a
-    /// log needs a store, so WAL durability goes through the `open_*`
-    /// methods).
-    pub fn build(self) -> TxResult<Database> {
-        if self.durability != Durability::Off {
-            return Err(TxError::schema(
-                "DatabaseBuilder::build is the in-memory path; use open_path or \
-                 open_store to attach a write-ahead log",
-            ));
-        }
-        let initial = match self.initial {
-            Some(s) => ensure_schema_relations(&self.schema, s)?,
-            None => self.schema.initial_state(),
-        };
-        let mut db = Database::with_initial(self.schema, initial)?.with_options(self.opts);
-        db.retry = self.retry;
-        db.default_isolation = self.default_isolation;
-        if let Some(m) = self.metrics {
-            db = db.with_metrics(m);
-        }
-        for def in &self.event_defs {
-            db.events.register_def(def, &db.schema, &db.metrics)?;
-        }
-        for c in self.constraints {
-            db.add_constraint(c)?;
-        }
-        Ok(db)
-    }
-
-    /// Open against the log file at `path` (created if absent):
-    /// [`open_store`](DatabaseBuilder::open_store) over a [`FileStore`].
-    pub fn open_path(self, path: impl AsRef<Path>) -> Result<(Database, RecoveryReport), WalError> {
-        let store = FileStore::open(path)?;
-        self.open_store(Box::new(store))
-    }
-
-    /// Open against an explicit [`LogStore`]. A non-empty store is
-    /// recovered (torn tail truncated, latest checkpoint loaded, delta
-    /// suffix replayed, constraints re-verified against the recovered
-    /// head); an empty one is initialized with a version-0 checkpoint.
-    /// With [`Durability::Off`] the store is only read — state is
-    /// recovered but later commits are not logged.
-    pub fn open_store(
-        self,
-        mut store: Box<dyn LogStore>,
-    ) -> Result<(Database, RecoveryReport), WalError> {
-        let metrics = self.metrics.clone().unwrap_or_else(Metrics::current);
-        let recovered = {
-            let _span = metrics.span("recover");
-            wal::recover_log(&mut *store, &self.schema, &metrics)?
-        };
-        let (state, version, report, replayed) = match recovered {
-            Some(r) => (r.state, r.version, r.report, r.replayed),
-            None => {
-                let state = match &self.initial {
-                    Some(s) => ensure_schema_relations(&self.schema, s.clone())?,
-                    None => self.schema.initial_state(),
-                };
-                let report = RecoveryReport {
-                    fresh: true,
-                    ..RecoveryReport::default()
-                };
-                (state, 0, report, Vec::new())
-            }
-        };
-        let wal = match self.durability {
-            Durability::Off => None,
-            Durability::Wal {
-                sync_every,
-                checkpoint_every,
-            } => {
-                let mut w = Wal::new(store, metrics.clone());
-                if report.fresh {
-                    // pin the schema (and the chosen initial state) as
-                    // the log's opening checkpoint
-                    w.log_checkpoint(0, &self.schema, &state)?;
-                    w.sync()?;
-                }
-                Some((w, sync_every, checkpoint_every))
-            }
-        };
-        let mut db = Database::with_initial(self.schema.clone(), state)?
-            .with_options(self.opts)
-            .with_metrics(metrics.clone());
-        db.retry = self.retry;
-        db.default_isolation = self.default_isolation;
-        db.head.lock().expect("db head lock").version = version;
-        if let Some((w, sync_every, checkpoint_every)) = wal {
-            let committer = Arc::new(GroupCommitter::new(
-                w,
-                self.schema,
-                sync_every,
-                checkpoint_every,
-                self.queue_cap,
-                // resume the checkpoint cadence where the log left off,
-                // and let the next cadence checkpoint snapshot the
-                // recovered head
-                report.replayed_deltas,
-                Some((version, db.snapshot())),
-                metrics,
-            ));
-            if !self.manual_writer {
-                let c = Arc::clone(&committer);
-                let thread = std::thread::Builder::new()
-                    .name("txlog-wal-writer".to_string())
-                    .spawn(move || c.run())
-                    .map_err(|e| WalError::Io {
-                        op: "spawn",
-                        detail: format!("could not spawn the log-writer thread: {e}"),
-                    })?;
-                db.writer_thread = Some(thread);
-            }
-            db.committer = Some(committer);
-        }
-        for def in &self.event_defs {
-            db.events.register_def(def, &db.schema, &db.metrics)?;
-        }
-        if !replayed.is_empty() {
-            if db.events.is_active() {
-                // Replay the recovered commit suffix through the
-                // automata: rebuilds their join state and re-fires any
-                // match whose materialization the crash lost
-                // (insert-if-absent makes the replay idempotent).
-                db.events.seed_replay(replayed);
-                db.dispatch_events();
-            } else {
-                db.events.seed_history(replayed);
-            }
-        }
-        for c in self.constraints {
-            // add_constraint checks the constraint against the (possibly
-            // recovered) head and rejects a violated base
-            db.add_constraint(c)?;
-        }
-        Ok((db, report))
-    }
-}
-
-/// A dry-run execution paired with the transaction's static footprint:
-/// everything a single commit attempt needs, produced by
-/// [`Session::prepare`] and consumed by [`Session::commit_prepared`].
-///
-/// [`Session::commit`] fuses execute-and-attempt into one call (with
-/// internal retries); this decomposed form exists so the deterministic
-/// simulator ([`crate::sim`]) can schedule the execute step and the
-/// attempt step independently — which is exactly the freedom real
-/// threads have, since execution runs outside the head lock against an
-/// immutable snapshot.
-pub struct Prepared {
-    execution: Execution,
-    footprint: Footprint,
-}
-
-impl Prepared {
-    /// The candidate successor state and delta.
-    pub fn execution(&self) -> &Execution {
-        &self.execution
-    }
-
-    /// The transaction's static footprint.
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-}
-
-/// Why a single commit attempt did not install — either a retryable
-/// conflict (with the fresh head to re-pin to) or a fatal error.
-enum AttemptError {
-    Conflicted {
-        head_version: u64,
-        fresh: Arc<DbState>,
-    },
-    Fatal(CommitError),
-}
-
-/// A snapshot-pinned view of a [`Database`]: read freely, then commit
-/// optimistically. Cheap to open; hold one per writer.
-///
-/// The session's [`IsolationLevel`] (fixed at open by
-/// [`Database::session_with`]) governs what "pinned" means: snapshot
-/// and serializable sessions keep one snapshot until a commit or
-/// [`refresh`](Session::refresh) moves it; read-committed sessions
-/// re-pin to the head at every statement boundary. Serializable
-/// sessions additionally accumulate the static read footprint of every
-/// statement and certify it at commit time.
-pub struct Session<'db> {
-    db: &'db Database,
-    base_version: u64,
-    base: Arc<DbState>,
-    /// The head version the accumulated read set is valid from: reads
-    /// taken since this version are certified against everything
-    /// committed after it (Serializable only).
-    reads_since: u64,
-    /// Union of the read footprints of every statement this session ran
-    /// since `reads_since` (Serializable only; stays empty elsewhere).
-    read_fp: Footprint,
-    opts: SessionOptions,
-}
-
-impl<'db> Session<'db> {
-    /// The snapshot this session reads from and executes against.
-    pub fn state(&self) -> &DbState {
-        &self.base
-    }
-
-    /// An `Arc` share of the snapshot (outlives the session).
-    pub fn snapshot(&self) -> Arc<DbState> {
-        Arc::clone(&self.base)
-    }
-
-    /// The head version the snapshot was taken at.
-    pub fn version(&self) -> u64 {
-        self.base_version
-    }
-
-    /// The isolation level this session runs under (after any
-    /// constraint-window escalation — see [`Database::session_with`]).
-    pub fn isolation(&self) -> IsolationLevel {
-        self.opts.isolation
-    }
-
-    /// Re-pin the session to the current committed head. Also discards
-    /// the accumulated read set of a serializable session — the reads
-    /// are re-taken against the fresh snapshot.
-    pub fn refresh(&mut self) {
-        self.db.step(StepPoint::Pin);
-        let head = self.db.head.lock().expect("db head lock");
-        self.base_version = head.version;
-        self.base = Arc::clone(&head.state);
-        drop(head);
-        self.reads_since = self.base_version;
-        self.read_fp = Footprint::empty();
-    }
-
-    /// A statement boundary: read-committed sessions re-pin to the
-    /// current head here; everyone else keeps their snapshot.
-    fn pin_statement(&mut self) {
-        if self.opts.isolation == IsolationLevel::ReadCommitted {
-            self.refresh();
-        }
-    }
-
-    /// Record a statement's read footprint for commit-time
-    /// certification (serializable sessions only).
-    fn record_reads(&mut self, fp: &Footprint) {
-        if self.opts.isolation == IsolationLevel::Serializable {
-            self.read_fp.merge(fp);
-        }
-    }
-
-    /// The commit label with the session's configured prefix applied.
-    fn full_label<'a>(&self, label: &'a str) -> std::borrow::Cow<'a, str> {
-        match &self.opts.label_prefix {
-            Some(p) => std::borrow::Cow::Owned(format!("{p}{label}")),
-            None => std::borrow::Cow::Borrowed(label),
-        }
-    }
-
-    /// Execute a transaction against the session's view *without*
-    /// committing — a dry run returning the candidate [`Execution`].
-    /// A statement boundary: read-committed sessions re-pin first;
-    /// serializable sessions record the program's whole footprint as
-    /// reads (the caller observes state derived from everything the
-    /// program touched).
-    pub fn execute(&mut self, tx: &FTerm, env: &Env) -> TxResult<Execution> {
-        self.pin_statement();
-        self.record_reads(&Footprint::of_program(tx).as_reads());
-        self.db.engine()?.execute_traced(&self.base, tx, env)
-    }
-
-    /// Evaluate a truth-valued formula against the session's view — a
-    /// statement boundary, like [`Session::execute`], with the
-    /// formula's footprint recorded as reads under
-    /// [`IsolationLevel::Serializable`].
-    pub fn ask(&mut self, p: &FFormula, env: &Env) -> TxResult<bool> {
-        self.pin_statement();
-        self.record_reads(&Footprint::of_formula(p));
-        self.db.engine()?.eval_truth(&self.base, p, env)
-    }
-
-    /// Execute against the session's view and package the result with
-    /// the transaction's footprint, ready for
-    /// [`Session::commit_prepared`]. A statement boundary, like
-    /// [`Session::execute`].
-    pub fn prepare(&mut self, tx: &FTerm, env: &Env) -> TxResult<Prepared> {
-        self.pin_statement();
-        let footprint = Footprint::of_program(tx);
-        self.record_reads(&footprint.as_reads());
-        self.db.step(StepPoint::Execute);
-        let execution = self.db.engine()?.execute_traced(&self.base, tx, env)?;
-        Ok(Prepared {
-            execution,
-            footprint,
-        })
-    }
-
-    /// One commit attempt of a prepared execution: no internal retry and
-    /// no re-execution. A moved head with an overlapping footprint
-    /// surfaces as [`CommitError::Conflict`] and leaves the session on
-    /// its snapshot — the caller decides whether to [`refresh`], re-
-    /// [`prepare`] and attempt again, which is how the simulator turns
-    /// the retry loop into individually scheduled steps.
-    ///
-    /// The prepared execution must have been produced against this
-    /// session's current snapshot; attempting a stale one conflicts (or
-    /// forwards, when provably disjoint) exactly as a stale `commit`
-    /// would.
-    ///
-    /// [`refresh`]: Session::refresh
-    /// [`prepare`]: Session::prepare
-    pub fn commit_prepared(
-        &mut self,
-        label: &str,
-        prepared: &Prepared,
-    ) -> Result<Commit, CommitError> {
-        let (commit, ticket) = self.submit_prepared(label, prepared)?;
-        ticket.wait()?;
-        Ok(commit)
-    }
-
-    /// Like [`Session::commit_prepared`] but *without* waiting for the
-    /// group fsync: on success the commit is installed (the session is
-    /// re-pinned to it) and the returned [`CommitTicket`] resolves once
-    /// the log writer acknowledges its batch. Submitting several commits
-    /// before waiting on their tickets is how a single session fills a
-    /// batch; with [`DatabaseBuilder::manual_log_writer`] this is the
-    /// only commit call that cannot deadlock.
-    pub fn submit_prepared(
-        &mut self,
-        label: &str,
-        prepared: &Prepared,
-    ) -> Result<(Commit, CommitTicket), CommitError> {
-        self.db.metrics.bump(Counter::CommitAttempts);
-        let label = self.full_label(label).into_owned();
-        match self.attempt(&label, prepared.execution.clone(), &prepared.footprint, 0) {
-            Ok(r) => Ok(r),
-            Err(AttemptError::Fatal(e)) => Err(e),
-            Err(AttemptError::Conflicted { head_version, .. }) => {
-                Err(CommitError::Conflict { head_version })
-            }
-        }
-    }
-
-    /// Execute and commit, retrying conflicted attempts per the
-    /// database's [`RetryPolicy`]. On success the session is re-pinned
-    /// to the new head.
-    pub fn commit(&mut self, label: &str, tx: &FTerm, env: &Env) -> Result<Commit, CommitError> {
-        self.commit_inner(label, tx, env, true)
-    }
-
-    /// Like [`Session::commit`] but with a single attempt: a conflict
-    /// surfaces as [`CommitError::Conflict`] instead of retrying (the
-    /// session stays on its snapshot so the caller can inspect and
-    /// decide).
-    pub fn try_commit(
-        &mut self,
-        label: &str,
-        tx: &FTerm,
-        env: &Env,
-    ) -> Result<Commit, CommitError> {
-        self.commit_inner(label, tx, env, false)
-    }
-
-    fn commit_inner(
-        &mut self,
-        label: &str,
-        tx: &FTerm,
-        env: &Env,
-        retry: bool,
-    ) -> Result<Commit, CommitError> {
-        let db = self.db;
-        let engine = db.engine()?;
-        let label = self.full_label(label).into_owned();
-        // a commit is itself a statement boundary for read-committed
-        self.pin_statement();
-        let footprint = Footprint::of_program(tx);
-        let policy = self.opts.retry.unwrap_or(db.retry);
-        let mut retries = 0u32;
-        loop {
-            db.metrics.bump(Counter::CommitAttempts);
-            db.step(StepPoint::Execute);
-            // execute outside the lock, against the pinned snapshot
-            let exec = engine.execute_traced(&self.base, tx, env)?;
-            match self.attempt(&label, exec, &footprint, retries) {
-                Ok((commit, ticket)) => {
-                    // block for the group ack outside the head lock; a
-                    // durability failure here is fatal (the commit is
-                    // installed but unacknowledged, the log poisoned)
-                    ticket.wait()?;
-                    return Ok(commit);
-                }
-                Err(AttemptError::Fatal(e)) => return Err(e),
-                Err(AttemptError::Conflicted {
-                    head_version,
-                    fresh,
-                }) => {
-                    if !retry {
-                        return Err(CommitError::Conflict { head_version });
-                    }
-                    if retries >= policy.max_retries {
-                        return Err(CommitError::RetriesExhausted {
-                            attempts: retries + 1,
-                        });
-                    }
-                    let delay = policy.delay(retries);
-                    retries += 1;
-                    db.metrics.bump(Counter::CommitRetries);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    self.base_version = head_version;
-                    self.base = fresh;
-                }
-            }
-        }
-    }
-
-    /// One commit attempt of an executed candidate: take the head lock,
-    /// then install (head unmoved), forward (head moved, footprint
-    /// provably disjoint), or conflict. The atomic section of the
-    /// pipeline — both `commit`'s retry loop and `commit_prepared` end
-    /// here.
-    ///
-    /// With durability on, the head lock section only validates, encodes
-    /// the commit record, enqueues it to the group committer, and
-    /// installs; the append and fsync run on the log-writer thread and
-    /// the returned [`CommitTicket`] resolves when the batch flushes.
-    fn attempt(
-        &mut self,
-        label: &str,
-        exec: Execution,
-        footprint: &Footprint,
-        retries: u32,
-    ) -> Result<(Commit, CommitTicket), AttemptError> {
-        let db = self.db;
-        db.step(StepPoint::LockAcquire);
-        let mut head = db.head.lock().expect("db head lock");
-        // SSI-style certification: a serializable session's accumulated
-        // statement reads must not intersect anything committed since
-        // they were taken. `reads_since` can trail `base_version` (a
-        // conflict re-pin moves the snapshot but cannot re-take reads
-        // the caller already observed), so this triggers even when the
-        // head looks unmoved from the snapshot's point of view. A
-        // too-short delta log cannot prove the reads unharmed, so it
-        // fails the certification too.
-        if self.opts.isolation == IsolationLevel::Serializable
-            && self.read_fp.has_reads()
-            && head.version > self.reads_since
-        {
-            let clean = match head.delta_since(self.reads_since) {
-                Some(concurrent) => !self.read_fp.reads_overlap_delta(&db.schema, &concurrent),
-                None => false,
-            };
-            if !clean {
-                let head_version = head.version;
-                drop(head);
-                db.metrics.bump(Counter::CommitSerializationFailures);
-                return Err(AttemptError::Fatal(CommitError::SerializationFailure {
-                    head_version,
-                }));
-            }
-        }
-        if head.version == self.base_version {
-            // head unmoved: validate, enqueue the record, install
-            db.validate(&head, &exec.state, &exec.delta, label)
-                .map_err(AttemptError::Fatal)?;
-            let version = head.version + 1;
-            let state = Arc::new(exec.state);
-            let slot = match &db.committer {
-                Some(c) => {
-                    let payload = Wal::encode_commit(version, label, &exec.delta, &state);
-                    match c.submit(version, payload, Arc::clone(&state)) {
-                        Ok(slot) => Some(slot),
-                        Err(e) => return Err(AttemptError::Fatal(submit_error(e))),
-                    }
-                }
-                None => None,
-            };
-            let evt = db.events.is_active().then(|| exec.delta.clone());
-            db.step(StepPoint::Install);
-            head.install(label, Arc::clone(&state), exec.delta, db.max_window);
-            db.metrics.bump(Counter::CommitsApplied);
-            if let Some(d) = evt {
-                // enqueue under the head lock: queue order = commit order
-                db.events.enqueue(version, d);
-            }
-            drop(head);
-            db.dispatch_events();
-            self.base_version = version;
-            self.base = state;
-            self.reads_since = version;
-            self.read_fp = Footprint::empty();
-            return Ok((
-                Commit {
-                    version,
-                    retries,
-                    forwarded: false,
-                },
-                CommitTicket {
-                    slot,
-                    metrics: db.metrics.clone(),
-                },
-            ));
-        }
-        // head moved: forward if provably disjoint from what landed.
-        // Read-committed only demands first-committer-wins on write-write
-        // overlap; snapshot and serializable require the whole program
-        // footprint (reads included) to be untouched.
-        if let Some(concurrent) = head.delta_since(self.base_version) {
-            let disjoint = match self.opts.isolation {
-                IsolationLevel::ReadCommitted => {
-                    !footprint.writes_overlap_delta(&db.schema, &concurrent)
-                }
-                _ => !footprint.overlaps_delta(&db.schema, &concurrent),
-            } || db.bug(ProtocolBug::ValidateAgainstSnapshot);
-            if disjoint {
-                let rebased = exec
-                    .delta
-                    .rebase_fresh(self.base.next_tuple_id(), head.state.next_tuple_id());
-                if let Ok(next) = rebased.apply(&head.state) {
-                    db.validate(&head, &next, &rebased, label)
-                        .map_err(AttemptError::Fatal)?;
-                    let version = head.version + 1;
-                    let state = Arc::new(next);
-                    let slot = match &db.committer {
-                        Some(c) => {
-                            // log the *rebased* state: that is what the
-                            // head becomes
-                            let payload = Wal::encode_commit(version, label, &rebased, &state);
-                            match c.submit(version, payload, Arc::clone(&state)) {
-                                Ok(slot) => Some(slot),
-                                Err(e) => return Err(AttemptError::Fatal(submit_error(e))),
-                            }
-                        }
-                        None => None,
-                    };
-                    let evt = db.events.is_active().then(|| rebased.clone());
-                    db.step(StepPoint::Install);
-                    head.install(label, Arc::clone(&state), rebased, db.max_window);
-                    db.metrics.bump(Counter::CommitsForwarded);
-                    if let Some(d) = evt {
-                        db.events.enqueue(version, d);
-                    }
-                    drop(head);
-                    db.dispatch_events();
-                    self.base_version = version;
-                    self.base = state;
-                    self.reads_since = version;
-                    self.read_fp = Footprint::empty();
-                    return Ok((
-                        Commit {
-                            version,
-                            retries,
-                            forwarded: true,
-                        },
-                        CommitTicket {
-                            slot,
-                            metrics: db.metrics.clone(),
-                        },
-                    ));
-                }
-            }
-        }
-        // conflict: surface the fresh head so the caller can re-pin
-        db.metrics.bump(Counter::CommitConflicts);
-        let head_version = head.version;
-        let fresh = Arc::clone(&head.state);
-        drop(head);
-        Err(AttemptError::Conflicted {
-            head_version,
-            fresh,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use txlog_logic::{parse_fterm, ParseCtx};
-
-    fn schema() -> Schema {
-        Schema::new()
-            .relation("EMP", &["e-name", "salary"])
-            .unwrap()
-            .relation("LOG", &["l-entry"])
-            .unwrap()
-    }
-
-    fn ctx() -> ParseCtx {
-        ParseCtx::with_relations(&["EMP", "LOG"])
-    }
-
-    fn tx(src: &str) -> FTerm {
-        parse_fterm(src, &ctx(), &[]).unwrap()
-    }
-
-    struct SalaryCap(u64);
-    impl CommitConstraint for SalaryCap {
-        fn name(&self) -> &str {
-            "salary-cap"
-        }
-        fn window_states(&self) -> usize {
-            1
-        }
-        fn affected_by(&self, schema: &Schema, delta: &Delta) -> bool {
-            schema.rel_id("EMP").is_ok_and(|id| delta.touches(id))
-        }
-        fn check(&self, schema: &Schema, states: &[DbState], _: &[&str]) -> TxResult<bool> {
-            let emp = schema.rel_id("EMP")?;
-            let state = states.last().expect("window is non-empty");
-            Ok(state
-                .relation(emp)
-                .map(|r| {
-                    r.iter()
-                        .all(|t| t.fields()[1].as_nat().is_ok_and(|s| s <= self.0))
-                })
-                .unwrap_or(true))
-        }
-    }
-
-    #[test]
-    fn sequential_commits_advance_the_head() {
-        let db = Database::new(schema()).unwrap();
-        let mut s = db.session();
-        let c1 = s
-            .commit(
-                "hire-ann",
-                &tx("insert(tuple('ann', 500), EMP)"),
-                &Env::new(),
-            )
-            .unwrap();
-        assert_eq!(c1.version, 1);
-        assert!(!c1.forwarded);
-        let c2 = s
-            .commit(
-                "hire-bob",
-                &tx("insert(tuple('bob', 400), EMP)"),
-                &Env::new(),
-            )
-            .unwrap();
-        assert_eq!(c2.version, 2);
-        let emp = db.schema().rel_id("EMP").unwrap();
-        assert_eq!(db.snapshot().relation(emp).unwrap().len(), 2);
-        assert_eq!(db.head_version(), 2);
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_commits() {
-        let db = Database::new(schema()).unwrap();
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let frozen = db.snapshot();
-        let mut s2 = db.session();
-        s2.commit("hire2", &tx("insert(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        let emp = db.schema().rel_id("EMP").unwrap();
-        assert_eq!(frozen.relation(emp).unwrap().len(), 1);
-        assert_eq!(db.snapshot().relation(emp).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn disjoint_commit_forwards_without_retry() {
-        let db = Database::new(schema()).unwrap();
-        // two sessions pinned to the same snapshot
-        let mut a = db.session();
-        let mut b = db.session();
-        a.commit("emp", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        // b's footprint is {LOG}, disjoint from a's {EMP}
-        let c = b
-            .commit("log", &tx("insert(tuple('audit'), LOG)"), &Env::new())
-            .unwrap();
-        assert!(
-            c.forwarded,
-            "disjoint commit should forward, not re-execute"
-        );
-        assert_eq!(c.retries, 0);
-        assert_eq!(c.version, 2);
-        let emp = db.schema().rel_id("EMP").unwrap();
-        let log = db.schema().rel_id("LOG").unwrap();
-        let head = db.snapshot();
-        assert_eq!(head.relation(emp).unwrap().len(), 1);
-        assert_eq!(head.relation(log).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn overlapping_commit_retries_and_serializes() {
-        let db = Database::new(schema()).unwrap();
-        let mut setup = db.session();
-        setup
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let mut a = db.session();
-        let mut b = db.session();
-        let raise = tx("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
-        a.commit("raise-a", &raise, &Env::new()).unwrap();
-        let c = b.commit("raise-b", &raise, &Env::new()).unwrap();
-        assert!(!c.forwarded);
-        assert!(c.retries >= 1, "same-relation commit must conflict");
-        // both raises landed: serializable outcome
-        let emp = db.schema().rel_id("EMP").unwrap();
-        let sal = db
-            .snapshot()
-            .relation(emp)
-            .unwrap()
-            .iter()
-            .next()
-            .unwrap()
-            .fields()[1]
-            .as_nat()
-            .unwrap();
-        assert_eq!(sal, 520);
-    }
-
-    #[test]
-    fn try_commit_surfaces_conflict() {
-        let db = Database::new(schema()).unwrap();
-        let mut setup = db.session();
-        setup
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let mut a = db.session();
-        let mut b = db.session();
-        let raise = tx("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
-        a.commit("raise-a", &raise, &Env::new()).unwrap();
-        match b.try_commit("raise-b", &raise, &Env::new()) {
-            Err(CommitError::Conflict { head_version }) => assert_eq!(head_version, 2),
-            other => panic!("expected Conflict, got {other:?}"),
-        }
-        // refresh and try again: succeeds
-        b.refresh();
-        b.try_commit("raise-b", &raise, &Env::new()).unwrap();
-    }
-
-    #[test]
-    fn constraint_violation_aborts_without_installing() {
-        let mut db = Database::new(schema()).unwrap();
-        db.add_constraint(Box::new(SalaryCap(1000))).unwrap();
-        let mut s = db.session();
-        let err = s
-            .commit("hire", &tx("insert(tuple('ann', 5000), EMP)"), &Env::new())
-            .unwrap_err();
-        match err {
-            CommitError::ConstraintViolation { constraint } => {
-                assert_eq!(constraint, "salary-cap")
-            }
-            other => panic!("expected ConstraintViolation, got {other:?}"),
-        }
-        assert_eq!(db.head_version(), 0);
-        // a legal commit still goes through
-        s.refresh();
-        s.commit("hire", &tx("insert(tuple('ann', 900), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(db.head_version(), 1);
-    }
-
-    #[test]
-    fn materialized_event_pattern_maintains_history_relation() {
-        let db = Database::builder(schema())
-            .event_pattern(PatternDef::materialized(
-                "fired",
-                Pattern::parse("delete(EMP, N, _)").unwrap(),
-                "FIRED",
-                &["N"],
-            ))
-            .unwrap()
-            .build()
-            .unwrap();
-        assert!(db.schema().expect("FIRED").unwrap().system);
-        let fired = db.schema().rel_id("FIRED").unwrap();
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        assert!(db.snapshot().relation(fired).unwrap().is_empty());
-        s.commit("fire", &tx("delete(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        // the dispatch ran synchronously: the system commit is already
-        // installed when the user commit returns
-        let head = db.snapshot();
-        assert!(head
-            .relation(fired)
-            .unwrap()
-            .contains_fields(&[Atom::str("ann")]));
-        assert_eq!(db.head_version(), 3, "materialization consumed a version");
-        // re-firing the same name does not duplicate the history row
-        s.refresh();
-        s.commit("rehire", &tx("insert(tuple('ann', 700), EMP)"), &Env::new())
-            .unwrap();
-        s.commit("refire", &tx("delete(tuple('ann', 700), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(db.snapshot().relation(fired).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn subscriptions_deliver_matches_in_commit_order() {
-        let db = Database::new(schema()).unwrap();
-        let seen: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let p = Pattern::parse("insert(EMP, N, _)").unwrap();
-        let id = db
-            .subscribe_pattern(
-                "hires",
-                &p,
-                Arc::new(move |n: &crate::events::EventNotification| {
-                    let name = n.binding.values().next().unwrap();
-                    sink.lock().unwrap().push((n.version, name.to_string()));
-                }),
-            )
-            .unwrap();
-        // duplicate names are rejected
-        assert!(db.subscribe_pattern("hires", &p, Arc::new(|_| {})).is_err());
-        let mut s = db.session();
-        s.commit("h1", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        s.commit("h2", &tx("insert(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![(1, "'ann'".to_string()), (2, "'bob'".to_string())]
-        );
-        assert!(db.unsubscribe(id));
-        assert!(!db.unsubscribe(id));
-        s.commit("h3", &tx("insert(tuple('cyd', 300), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(seen.lock().unwrap().len(), 2, "unsubscribed");
-    }
-
-    #[test]
-    fn late_subscription_primes_silently_over_history() {
-        let db = Database::new(schema()).unwrap();
-        let mut s = db.session();
-        s.commit("fire", &tx("insert(tuple('ann'), LOG)"), &Env::new())
-            .unwrap();
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        // seq whose left half is already in the past at subscription time
-        let p = Pattern::parse("seq(insert(LOG, N), insert(EMP, N, _))").unwrap();
-        db.subscribe_pattern(
-            "seq",
-            &p,
-            Arc::new(move |n: &crate::events::EventNotification| {
-                sink.lock().unwrap().push(n.version);
-            }),
-        )
-        .unwrap();
-        // completes the seq: left primed from history, right live
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(*seen.lock().unwrap(), vec![2]);
-    }
-
-    #[test]
-    fn event_pattern_registration_is_validated() {
-        // unknown relation
-        assert!(Database::builder(schema())
-            .event_pattern(PatternDef::named(
-                "p",
-                Pattern::parse("insert(NOPE, X)").unwrap()
-            ))
-            .is_err());
-        // materialization column not certainly bound (Or binds S on one
-        // branch only)
-        assert!(Database::builder(schema())
-            .event_pattern(PatternDef::materialized(
-                "p",
-                Pattern::parse("or(insert(EMP, N, S), delete(EMP, N, _))").unwrap(),
-                "OUT",
-                &["N", "S"],
-            ))
-            .is_err());
-        // patterns over system relations are rejected
-        let b = Database::builder(schema())
-            .event_pattern(PatternDef::materialized(
-                "fired",
-                Pattern::parse("delete(EMP, N, _)").unwrap(),
-                "FIRED",
-                &["N"],
-            ))
-            .unwrap();
-        assert!(b
-            .event_pattern(PatternDef::named(
-                "loop",
-                Pattern::parse("insert(FIRED, N)").unwrap()
-            ))
-            .is_err());
-    }
-
-    #[test]
-    fn materialized_relations_recover_with_the_log() {
-        use crate::wal::MemStore;
-        let def = || {
-            PatternDef::materialized(
-                "fired",
-                Pattern::parse("delete(EMP, N, _)").unwrap(),
-                "FIRED",
-                &["N"],
-            )
-        };
-        let store = MemStore::new();
-        {
-            let (db, _) = Database::builder(schema())
-                .event_pattern(def())
-                .unwrap()
-                .durability(Durability::Wal {
-                    sync_every: 1,
-                    checkpoint_every: 1024,
-                })
-                .open_store(Box::new(store.clone()))
-                .unwrap();
-            let mut s = db.session();
-            s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-                .unwrap();
-            s.commit("fire", &tx("delete(tuple('ann', 500), EMP)"), &Env::new())
-                .unwrap();
-            let fired = db.schema().rel_id("FIRED").unwrap();
-            assert_eq!(db.snapshot().relation(fired).unwrap().len(), 1);
-        }
-        // reopen from the logged bytes: the system commit replays (or
-        // re-fires idempotently) and the history relation survives
-        let (db, report) = Database::builder(schema())
-            .event_pattern(def())
-            .unwrap()
-            .durability(Durability::Wal {
-                sync_every: 1,
-                checkpoint_every: 1024,
-            })
-            .open_store(Box::new(MemStore::from_bytes(store.contents())))
-            .unwrap();
-        assert!(!report.fresh);
-        let fired = db.schema().rel_id("FIRED").unwrap();
-        assert!(db
-            .snapshot()
-            .relation(fired)
-            .unwrap()
-            .contains_fields(&[Atom::str("ann")]));
-        // and the automaton state was rebuilt: a fresh fire of a new
-        // name still materializes
-        let mut s = db.session();
-        s.commit("hire2", &tx("insert(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        s.commit("fire2", &tx("delete(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(db.snapshot().relation(fired).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn add_constraint_rejects_violated_base() {
-        let mut db = Database::new(schema()).unwrap();
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 5000), EMP)"), &Env::new())
-            .unwrap();
-        assert!(db.add_constraint(Box::new(SalaryCap(1000))).is_err());
-    }
-
-    #[test]
-    fn footprint_bounds_simple_programs() {
-        let fp = Footprint::of_program(&tx("insert(tuple('ann', 1), EMP)"));
-        let rels: Vec<&str> = fp.rels().unwrap().iter().map(|s| s.as_str()).collect();
-        assert_eq!(rels, ["EMP"]);
-        let fp = Footprint::of_program(&tx(
-            "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 1) end",
-        ));
-        let rels: Vec<&str> = fp.rels().unwrap().iter().map(|s| s.as_str()).collect();
-        assert_eq!(rels, ["EMP"]);
-        let fp = Footprint::of_program(&tx("if exists e: 2tup . e in EMP & salary(e) > 100
-             then insert(tuple('rich'), LOG) else insert(tuple('poor'), LOG)"));
-        let rels: Vec<&str> = fp.rels().unwrap().iter().map(|s| s.as_str()).collect();
-        assert_eq!(rels, ["EMP", "LOG"]);
-    }
-
-    #[test]
-    fn footprint_poisons_unbounded_reads() {
-        // a foreach without a membership conjunct enumerates active tuples
-        let unbounded = tx("foreach e: 2tup | salary(e) > 0 do delete(e, EMP) end");
-        assert!(Footprint::of_program(&unbounded).is_all());
-        // an unbounded footprint conflicts with any non-empty delta
-        let s = schema();
-        let emp = s.rel_id("EMP").unwrap();
-        let d0 = s.initial_state();
-        let (_, _, delta) = d0
-            .insert_traced(
-                emp,
-                &txlog_relational::TupleVal::anonymous(vec![
-                    txlog_base::Atom::str("x"),
-                    txlog_base::Atom::nat(1),
-                ]),
-            )
-            .unwrap();
-        assert!(Footprint::all().overlaps_delta(&s, &delta));
-        assert!(!Footprint::all().overlaps_delta(&s, &Delta::empty()));
-    }
-
-    #[test]
-    fn durable_commits_survive_reopen() {
-        use crate::wal::MemStore;
-        let store = MemStore::new();
-        let (db, report) = Database::builder(schema())
-            .durability(Durability::Wal {
-                sync_every: 1,
-                checkpoint_every: 0,
-            })
-            .open_store(Box::new(store.clone()))
-            .unwrap();
-        assert!(report.fresh);
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        s.commit("hire2", &tx("insert(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        let head = db.snapshot();
-        drop(s);
-        drop(db);
-        // reopen from the same log bytes
-        let (db2, report) = Database::builder(schema())
-            .durability(Durability::wal())
-            .open_store(Box::new(MemStore::from_bytes(store.contents())))
-            .unwrap();
-        assert!(!report.fresh);
-        assert_eq!(report.replayed_deltas, 2);
-        assert_eq!(db2.head_version(), 2);
-        let recovered = db2.snapshot();
-        assert!(recovered.content_eq(&head));
-        assert_eq!(recovered.next_tuple_id(), head.next_tuple_id());
-        // and the recovered database keeps committing
-        let mut s2 = db2.session();
-        let c = s2
-            .commit("hire3", &tx("insert(tuple('cyn', 300), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(c.version, 3);
-    }
-
-    #[test]
-    fn forwarded_commits_are_logged_too() {
-        use crate::wal::MemStore;
-        let store = MemStore::new();
-        let (db, _) = Database::builder(schema())
-            .durability(Durability::wal())
-            .open_store(Box::new(store.clone()))
-            .unwrap();
-        let mut a = db.session();
-        let mut b = db.session();
-        a.commit("emp", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let c = b
-            .commit("log", &tx("insert(tuple('audit'), LOG)"), &Env::new())
-            .unwrap();
-        assert!(c.forwarded);
-        let head = db.snapshot();
-        drop(a);
-        drop(b);
-        drop(db);
-        let (db2, report) = Database::builder(schema())
-            .durability(Durability::wal())
-            .open_store(Box::new(MemStore::from_bytes(store.contents())))
-            .unwrap();
-        assert_eq!(report.replayed_deltas, 2);
-        assert_eq!(db2.head_version(), 2);
-        assert!(db2.snapshot().content_eq(&head));
-    }
-
-    #[test]
-    fn recovery_verifies_constraints_against_recovered_head() {
-        use crate::wal::MemStore;
-        let store = MemStore::new();
-        let (db, _) = Database::builder(schema())
-            .durability(Durability::wal())
-            .open_store(Box::new(store.clone()))
-            .unwrap();
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 5000), EMP)"), &Env::new())
-            .unwrap();
-        drop(s);
-        drop(db);
-        // a constraint the logged history violates fails the recovery
-        let err = match Database::builder(schema())
-            .durability(Durability::wal())
-            .constraint(Box::new(SalaryCap(1000)))
-            .open_store(Box::new(MemStore::from_bytes(store.contents())))
-        {
-            Err(e) => e,
-            Ok(_) => panic!("recovery should reject a violated constraint"),
-        };
-        assert!(matches!(err, WalError::Engine(_)), "got {err:?}");
-        // one the history satisfies passes
-        let (db2, _) = Database::builder(schema())
-            .durability(Durability::wal())
-            .constraint(Box::new(SalaryCap(10_000)))
-            .open_store(Box::new(MemStore::from_bytes(store.contents())))
-            .unwrap();
-        assert_eq!(db2.head_version(), 1);
-    }
-
-    #[test]
-    fn builder_requires_open_for_wal_durability() {
-        assert!(Database::builder(schema())
-            .durability(Durability::wal())
-            .build()
-            .is_err());
-        let db = Database::builder(schema()).build().unwrap();
-        assert_eq!(db.head_version(), 0);
-    }
-
-    #[test]
-    fn commit_metrics_are_recorded() {
-        let m = Metrics::enabled();
-        let db = Database::new(schema()).unwrap().with_metrics(m.clone());
-        let mut s = db.session();
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        assert_eq!(m.get(Counter::CommitAttempts), 1);
-        assert_eq!(m.get(Counter::CommitsApplied), 1);
-        assert_eq!(m.get(Counter::CommitConflicts), 0);
-    }
-
-    #[test]
-    fn manual_writer_acks_the_whole_batch_after_one_fsync() {
-        use crate::wal::MemStore;
-        use txlog_base::obs::Hist;
-        let store = MemStore::new();
-        let m = Metrics::enabled();
-        let (db, _) = Database::builder(schema())
-            .metrics(m.clone())
-            .manual_log_writer()
-            .durability(Durability::Wal {
-                sync_every: 8,
-                checkpoint_every: 0,
-            })
-            .open_store(Box::new(store.clone()))
-            .unwrap();
-        let env = Env::new();
-        let mut s = db.session();
-        let mut tickets = Vec::new();
-        for (label, src) in [
-            ("a", "insert(tuple('ann', 500), EMP)"),
-            ("b", "insert(tuple('bob', 400), EMP)"),
-            ("c", "insert(tuple('cyn', 300), EMP)"),
-        ] {
-            let p = s.prepare(&tx(src), &env).unwrap();
-            let (_, t) = s.submit_prepared(label, &p).unwrap();
-            tickets.push(t);
-        }
-        assert_eq!(db.head_version(), 3, "all three install before any fsync");
-        assert!(
-            tickets.iter().all(|t| !t.is_complete()),
-            "no ack may precede the group fsync"
-        );
-        db.pump_log_writer();
-        for t in &tickets {
-            assert!(matches!(t.try_result(), Some(Ok(()))));
-        }
-        assert_eq!(m.get(Counter::WalGroupBatches), 1, "one batch, one fsync");
-        assert_eq!(m.hist(Hist::WalGroupBatchSize).max, 3);
-        assert_eq!(
-            store.durable_len(),
-            store.contents().len(),
-            "the batch is durable after the pump"
-        );
-    }
-
-    /// A `LogStore` whose `sync` blocks until the gate opens — a
-    /// stand-in for a device with a stalled fsync.
-    #[derive(Clone)]
-    struct GatedStore {
-        inner: crate::wal::MemStore,
-        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
-    }
-
-    impl GatedStore {
-        fn open_gate(&self) {
-            let (lock, cv) = &*self.gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-
-        fn close_gate(&self) {
-            *self.gate.0.lock().unwrap() = false;
-        }
-    }
-
-    impl LogStore for GatedStore {
-        fn len(&self) -> Result<u64, WalError> {
-            self.inner.len()
-        }
-        fn read_all(&mut self) -> Result<Vec<u8>, WalError> {
-            self.inner.read_all()
-        }
-        fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-            self.inner.append(bytes)
-        }
-        fn sync(&mut self) -> Result<(), WalError> {
-            let (lock, cv) = &*self.gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            drop(open);
-            self.inner.sync()
-        }
-        fn truncate(&mut self, len: u64) -> Result<(), WalError> {
-            self.inner.truncate(len)
-        }
-    }
-
-    #[test]
-    fn slow_log_store_surfaces_overload_instead_of_deadlock() {
-        use crate::wal::MemStore;
-        let store = GatedStore {
-            inner: MemStore::new(),
-            gate: Arc::new((Mutex::new(true), std::sync::Condvar::new())),
-        };
-        let (db, _) = Database::builder(schema())
-            .log_queue_cap(2)
-            .durability(Durability::Wal {
-                sync_every: 1,
-                checkpoint_every: 0,
-            })
-            .open_store(Box::new(store.clone()))
-            .unwrap();
-        // the open-time checkpoint synced through the open gate; stall
-        // every fsync from here on
-        store.close_gate();
-        let env = Env::new();
-        let mut s = db.session();
-        let mut tickets = Vec::new();
-        let mut overloaded = false;
-        // with the writer stalled at most 1 (in flight) + 2 (queued)
-        // submissions are accepted; the next one must be rejected with
-        // Overload rather than blocking
-        for i in 0..4 {
-            let p = s
-                .prepare(&tx(&format!("insert(tuple('e{i}', {i}), EMP)")), &env)
-                .unwrap();
-            match s.submit_prepared(&format!("hire-{i}"), &p) {
-                Ok((_, t)) => tickets.push(t),
-                Err(CommitError::Overload { capacity }) => {
-                    assert_eq!(capacity, 2);
-                    overloaded = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected submit error: {e:?}"),
-            }
-        }
-        assert!(
-            overloaded,
-            "a stalled writer must surface backpressure within queue_cap + 1 submissions"
-        );
-        assert!(
-            tickets.len() >= 2,
-            "the queue accepts up to its capacity before overloading"
-        );
-        // backpressure is transient: release the device and every
-        // accepted commit acks durably
-        store.open_gate();
-        for t in &tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(db.head_version(), tickets.len() as u64);
-    }
-
-    /// Every `CommitError` variant either exposes its wrapped cause
-    /// through `Error::source()` or is itself the root cause — the
-    /// contract a wire-protocol front end relies on to map commit
-    /// failures losslessly.
-    #[test]
-    fn commit_error_source_chain_per_variant() {
-        use std::error::Error as _;
-        let conflict = CommitError::Conflict { head_version: 7 };
-        assert!(conflict.source().is_none());
-        let violated = CommitError::ConstraintViolation {
-            constraint: "cap".to_string(),
-        };
-        assert!(violated.source().is_none());
-        let exhausted = CommitError::RetriesExhausted { attempts: 9 };
-        assert!(exhausted.source().is_none());
-        let serialization = CommitError::SerializationFailure { head_version: 3 };
-        assert!(serialization.source().is_none());
-        let overload = CommitError::Overload { capacity: 4 };
-        assert!(overload.source().is_none());
-        let execution = CommitError::Execution(TxError::eval("boom"));
-        let src = execution.source().expect("Execution chains its TxError");
-        assert!(src.downcast_ref::<TxError>().is_some());
-        let durability = CommitError::Durability(WalError::Poisoned {
-            detail: "fsync died".to_string(),
-        });
-        let src = durability.source().expect("Durability chains its WalError");
-        assert!(src.downcast_ref::<WalError>().is_some());
-        // the chain continues through the WAL layer down to the codec
-        let nested = CommitError::Durability(WalError::Codec(
-            txlog_relational::codec::CodecError::BadMagic,
-        ));
-        let wal = nested.source().expect("WalError level");
-        let codec = wal.source().expect("CodecError level");
-        assert!(codec
-            .downcast_ref::<txlog_relational::codec::CodecError>()
-            .is_some());
-    }
-
-    #[test]
-    fn read_committed_repins_at_statement_boundaries() {
-        let db = Database::new(schema()).unwrap();
-        let mut rc = db.session_with(SessionOptions::read_committed());
-        let mut si = db.session_with(SessionOptions::snapshot());
-        let mut writer = db.session();
-        writer
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let p = txlog_logic::parse_fformula("exists e: 2tup . e in EMP", &ctx(), &[]).unwrap();
-        assert!(
-            rc.ask(&p, &Env::new()).unwrap(),
-            "read committed re-pins at the statement boundary"
-        );
-        assert!(
-            !si.ask(&p, &Env::new()).unwrap(),
-            "snapshot keeps its pinned (empty) state"
-        );
-    }
-
-    #[test]
-    fn serializable_certifies_the_read_set() {
-        let m = Metrics::enabled();
-        let db = Database::new(schema()).unwrap().with_metrics(m.clone());
-        let mut ssi = db.session_with(SessionOptions::serializable());
-        let mut writer = db.session();
-        let p = txlog_logic::parse_fformula("exists e: 2tup . e in EMP", &ctx(), &[]).unwrap();
-        // the read is taken, then EMP moves under it
-        assert!(!ssi.ask(&p, &Env::new()).unwrap());
-        writer
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        // the commit's own footprint (LOG) is disjoint — a snapshot
-        // session would forward — but the *read* of EMP is stale
-        let err = ssi
-            .commit("memo", &tx("insert(tuple('audit'), LOG)"), &Env::new())
-            .expect_err("read-set certification must fail");
-        assert!(
-            matches!(err, CommitError::SerializationFailure { head_version: 1 }),
-            "got {err:?}"
-        );
-        assert_eq!(m.get(Counter::CommitSerializationFailures), 1);
-
-        // the same dance under snapshot isolation forwards cleanly
-        let mut si = db.session_with(SessionOptions::snapshot());
-        assert!(si.ask(&p, &Env::new()).unwrap());
-        writer
-            .commit("hire2", &tx("insert(tuple('bob', 400), EMP)"), &Env::new())
-            .unwrap();
-        let c = si
-            .commit("memo2", &tx("insert(tuple('audit-2'), LOG)"), &Env::new())
-            .expect("snapshot isolation ignores read-write conflicts");
-        assert!(c.forwarded);
-    }
-
-    #[test]
-    fn serializable_reads_reset_after_commit_and_refresh() {
-        let db = Database::new(schema()).unwrap();
-        let mut ssi = db.session_with(SessionOptions::serializable());
-        let mut writer = db.session();
-        let p = txlog_logic::parse_fformula("exists e: 2tup . e in EMP", &ctx(), &[]).unwrap();
-        assert!(!ssi.ask(&p, &Env::new()).unwrap());
-        writer
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        // refresh discards the stale read set; the next commit is clean
-        ssi.refresh();
-        ssi.commit("memo", &tx("insert(tuple('audit'), LOG)"), &Env::new())
-            .expect("refreshed reads certify");
-        // a successful commit also resets the reads: observing EMP
-        // *after* the writer moved it poisons nothing
-        assert!(ssi.ask(&p, &Env::new()).unwrap());
-        ssi.commit("memo2", &tx("insert(tuple('audit-2'), LOG)"), &Env::new())
-            .expect("reads taken at the current head certify");
-    }
-
-    #[test]
-    fn read_committed_forwards_on_write_write_disjointness_alone() {
-        let db = Database::new(schema()).unwrap();
-        let mut setup = db.session();
-        setup
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        // reads EMP, writes LOG — under snapshot the footprint overlaps
-        // any EMP delta; under read committed only the writes matter
-        let audit = tx("foreach e: 2tup | e in EMP do insert(tuple('seen'), LOG) end");
-        let raise = tx("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
-
-        let mut rc = db.session_with(SessionOptions::read_committed());
-        let prepared = rc.prepare(&audit, &Env::new()).unwrap();
-        setup.commit("raise", &raise, &Env::new()).unwrap();
-        let c = rc
-            .commit_prepared("audit", &prepared)
-            .expect("write-write disjoint commit forwards under read committed");
-        assert!(c.forwarded, "read committed ignores the stale EMP read");
-
-        let mut si = db.session_with(SessionOptions::snapshot());
-        let prepared = si.prepare(&audit, &Env::new()).unwrap();
-        setup.commit("raise-2", &raise, &Env::new()).unwrap();
-        let err = si
-            .commit_prepared("audit-2", &prepared)
-            .expect_err("the same stale read conflicts under snapshot");
-        assert!(matches!(err, CommitError::Conflict { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn session_retry_policy_overrides_the_database_default() {
-        let db = Database::new(schema()).unwrap();
-        let mut setup = db.session();
-        setup
-            .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        let raise = tx("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
-        // a zero-retry session gives up on the first conflict even
-        // though the database default would have retried
-        let mut stubborn = db.session_with(SessionOptions::new().retry(RetryPolicy::no_backoff(0)));
-        setup.commit("raise-a", &raise, &Env::new()).unwrap();
-        let err = stubborn
-            .commit("raise-b", &raise, &Env::new())
-            .expect_err("zero retries exhausts on the first conflict");
-        assert!(
-            matches!(err, CommitError::RetriesExhausted { attempts: 1 }),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn windowed_constraint_escalates_read_committed() {
-        struct TwoStateNoop;
-        impl CommitConstraint for TwoStateNoop {
-            fn name(&self) -> &str {
-                "two-state-noop"
-            }
-            fn window_states(&self) -> usize {
-                2
-            }
-            fn affected_by(&self, _: &Schema, _: &Delta) -> bool {
-                false
-            }
-            fn check(&self, _: &Schema, _: &[DbState], _: &[&str]) -> TxResult<bool> {
-                Ok(true)
-            }
-        }
-        let m = Metrics::enabled();
-        let mut db = Database::new(schema()).unwrap().with_metrics(m.clone());
-        db.add_constraint(Box::new(TwoStateNoop)).unwrap();
-        let s = db.session_with(SessionOptions::read_committed());
-        assert_eq!(
-            s.isolation(),
-            IsolationLevel::Snapshot,
-            "a window-2 constraint needs a statement-stable pre-state"
-        );
-        assert_eq!(m.get(Counter::SessionsEscalated), 1);
-        assert_eq!(m.get(Counter::SessionsSnapshot), 1);
-        assert_eq!(m.get(Counter::SessionsReadCommitted), 0);
-    }
-
-    #[test]
-    fn label_prefix_applies_to_commit_labels() {
-        use std::sync::Mutex;
-        #[derive(Default)]
-        struct LabelSpy(Mutex<Vec<String>>);
-        impl CommitConstraint for &'static LabelSpy {
-            fn name(&self) -> &str {
-                "label-spy"
-            }
-            fn window_states(&self) -> usize {
-                1
-            }
-            fn affected_by(&self, _: &Schema, _: &Delta) -> bool {
-                true
-            }
-            fn check(&self, _: &Schema, _: &[DbState], labels: &[&str]) -> TxResult<bool> {
-                let mut seen = self.0.lock().unwrap();
-                seen.extend(labels.iter().map(|l| l.to_string()));
-                Ok(true)
-            }
-        }
-        static SPY: LabelSpy = LabelSpy(Mutex::new(Vec::new()));
-        let mut db = Database::new(schema()).unwrap();
-        db.add_constraint(Box::new(&SPY)).unwrap();
-        let mut s = db.session_with(SessionOptions::new().label_prefix("job-7/"));
-        s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-            .unwrap();
-        assert!(
-            SPY.0.lock().unwrap().iter().any(|l| l == "job-7/hire"),
-            "the configured prefix lands on the validated label"
-        );
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_work() {
-        #![allow(deprecated)]
-        let db = Database::new(schema())
-            .unwrap()
-            .with_retry(RetryPolicy::no_backoff(7));
-        assert_eq!(db.retry.max_retries, 7);
-        let db = Database::builder(schema())
-            .retry(RetryPolicy::no_backoff(3))
-            .build()
-            .unwrap();
-        assert_eq!(db.retry.max_retries, 3);
-    }
-
-    #[test]
-    fn isolation_level_parsing_and_names() {
-        for level in IsolationLevel::ALL {
-            assert_eq!(IsolationLevel::parse(level.name()), Some(level));
-        }
-        assert_eq!(
-            IsolationLevel::parse("rc"),
-            Some(IsolationLevel::ReadCommitted)
-        );
-        assert_eq!(IsolationLevel::parse("si"), Some(IsolationLevel::Snapshot));
-        assert_eq!(
-            IsolationLevel::parse("SSI"),
-            Some(IsolationLevel::Serializable)
-        );
-        assert_eq!(IsolationLevel::parse("chaos"), None);
     }
 }

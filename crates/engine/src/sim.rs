@@ -831,8 +831,10 @@ fn build_db(cfg: &SimConfig) -> TxResult<(Database, Option<MemStore>)> {
                 .initial
                 .clone()
                 .unwrap_or_else(|| cfg.schema.initial_state());
-            let db = Database::with_initial(cfg.schema.clone(), initial)?
-                .with_metrics(Metrics::disabled());
+            let db = Database::builder(cfg.schema.clone())
+                .initial(initial)
+                .metrics(Metrics::disabled())
+                .build()?;
             Ok((db, None))
         }
         SimDurability::Wal {
@@ -1562,10 +1564,13 @@ fn permutations_match(
 /// visible to the oracle: two guarded transactions that each falsify
 /// the other's guard admit no serial order at all.
 fn replay_matches(cfg: &SimConfig, out: &SimOutcome, order: &[usize]) -> bool {
-    let Ok(db) = Database::with_initial(cfg.schema.clone(), out.base.clone()) else {
+    let Ok(db) = Database::builder(cfg.schema.clone())
+        .initial(out.base.clone())
+        .metrics(Metrics::disabled())
+        .build()
+    else {
         return false;
     };
-    let db = db.with_metrics(Metrics::disabled());
     let mut sess = db.session();
     let env = Env::new();
     for &idx in order {

@@ -17,9 +17,11 @@
 //!           | 0x02 ‖ version:u64 ‖ schema ‖ state   (checkpoint)
 //! ```
 //!
-//! `crc` covers the payload only; a torn or bit-flipped tail fails the
-//! checksum (or the length bound) and recovery truncates the log back to
-//! the last fully valid record. `next_tuple` snapshots the post-commit
+//! The frame is [`codec::encode_frame`]'s — the routine the wire protocol
+//! frames messages with — and recovery walks the log with its inverse,
+//! [`codec::decode_frame`]. `crc` covers the payload only; a torn or
+//! bit-flipped tail fails the checksum (or runs past the end of the log)
+//! and recovery truncates the log back to the last fully valid record. `next_tuple` snapshots the post-commit
 //! tuple allocator so replay restores it exactly even when a
 //! transaction's net delta cancels an allocation.
 //!
@@ -411,7 +413,6 @@ impl LogStore for MemStore {
 
 const TAG_COMMIT: u8 = 1;
 const TAG_CHECKPOINT: u8 = 2;
-const FRAME_HEADER: u64 = 8; // len:u32 ‖ crc:u32
 
 /// The write side: frames records and reports into the `wal_*`
 /// counters. Sync and checkpoint *cadence* live one layer up, in the
@@ -505,20 +506,10 @@ impl Wal {
             }
         }
         let before = self.store.len()?;
-        if payload.len() as u64 > u64::from(u32::MAX) {
-            return Err(WalError::Corrupt {
-                offset: before,
-                detail: format!(
-                    "record payload of {} bytes exceeds the u32 frame limit",
-                    payload.len()
-                ),
-            });
-        }
-        let mut frame = Encoder::new();
-        frame.u32(payload.len() as u32);
-        frame.u32(codec::crc32(payload));
-        let mut bytes = frame.finish();
-        bytes.extend_from_slice(payload);
+        let bytes = codec::encode_frame(payload, u32::MAX).map_err(|e| WalError::Corrupt {
+            offset: before,
+            detail: e.to_string(),
+        })?;
         if let Err(e) = self.store.append(&bytes) {
             // A failed append may have left a torn prefix; pull the log
             // back to the last record boundary so a later record is not
@@ -732,36 +723,17 @@ pub(crate) fn recover_log(
     metrics: &Metrics,
 ) -> Result<Option<RecoveredLog>, WalError> {
     let bytes = store.read_all()?;
-    let total = bytes.len() as u64;
-    let mut pos: u64 = 0;
-    let mut valid_end: u64 = 0;
+    let mut valid_end = 0usize;
     let mut checkpoint: Option<(u64, DbState)> = None;
     // (version, post-commit allocator, delta) since the last checkpoint
     let mut suffix: VecDeque<(u64, u64, Delta)> = VecDeque::new();
     let mut last_version: Option<u64> = None;
-    loop {
-        if total - pos < FRAME_HEADER {
+    // `Ok(None)` (a torn tail: the record never finished writing) and
+    // `Err(_)` (bit rot, or a torn write inside the record) both mean
+    // the valid prefix ends here
+    while let Ok(Some((payload, consumed))) = codec::decode_frame(&bytes[valid_end..], u32::MAX) {
+        let Ok(record) = decode_record(payload) else {
             break;
-        }
-        let mut d = Decoder::new(&bytes[pos as usize..(pos + FRAME_HEADER) as usize]);
-        let len = match d.u32("record length") {
-            Ok(v) => v as u64,
-            Err(_) => break,
-        };
-        let crc = match d.u32("record checksum") {
-            Ok(v) => v,
-            Err(_) => break,
-        };
-        if len > total - pos - FRAME_HEADER {
-            break; // torn tail: the record never finished writing
-        }
-        let payload = &bytes[(pos + FRAME_HEADER) as usize..(pos + FRAME_HEADER + len) as usize];
-        if codec::crc32(payload) != crc {
-            break; // bit rot or a torn write inside the record
-        }
-        let record = match decode_record(payload) {
-            Ok(r) => r,
-            Err(_) => break,
         };
         match record {
             Record::Commit {
@@ -803,9 +775,9 @@ pub(crate) fn recover_log(
                 last_version = Some(version);
             }
         }
-        pos += FRAME_HEADER + len;
-        valid_end = pos;
+        valid_end += consumed;
     }
+    let (valid_end, total) = (valid_end as u64, bytes.len() as u64);
     if valid_end < total {
         store.truncate(valid_end)?;
         metrics.bump(Counter::RecoverTruncatedRecords);

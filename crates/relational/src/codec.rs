@@ -20,7 +20,10 @@
 //!   up-front allocation.
 //! * **Checksummed envelopes.** [`crc32`] is a hand-rolled table-driven
 //!   CRC-32 (IEEE polynomial, the `zlib` one) used by the snapshot
-//!   envelope here and by the WAL record framing in `txlog_engine::wal`.
+//!   envelope here and by [`encode_frame`]/[`decode_frame`], the
+//!   `len ‖ crc ‖ payload` framing that both the write-ahead log
+//!   (`txlog_engine::wal`) and the wire protocol (`txlog_server::frame`)
+//!   write and read.
 //! * **Deterministic.** Encoding is a pure function of the value:
 //!   `BTreeMap` ordering makes equal values encode to equal bytes, which
 //!   is what lets recovery tests assert byte-identical states.
@@ -151,6 +154,95 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+// ---------------------------------------------------------------------------
+// Frames: len ‖ crc ‖ payload — the one framing the write-ahead log and
+// the wire protocol share.
+// ---------------------------------------------------------------------------
+
+/// Bytes of framing before the payload: `len: u32 ‖ crc: u32`.
+pub const FRAME_HEADER_LEN: usize = 8;
+
+/// Why a byte sequence is not a valid frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FrameError {
+    /// The length prefix exceeds the configured bound.
+    TooLarge {
+        /// The length the prefix claimed.
+        len: u32,
+        /// The configured bound.
+        max: u32,
+    },
+    /// The payload's CRC-32 does not match the header's.
+    Checksum {
+        /// CRC recorded in the header.
+        expected: u32,
+        /// CRC of the payload actually received.
+        found: u32,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::TooLarge { len, max } => {
+                write!(f, "frame of {len} bytes exceeds the {max}-byte bound")
+            }
+            FrameError::Checksum { expected, found } => write!(
+                f,
+                "frame checksum mismatch: header {expected:#010x}, payload {found:#010x}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Frame a payload: a little-endian `u32` payload length, the payload's
+/// [`crc32`], then the payload bytes. Fails (rather than silently
+/// wrapping the length) when the payload exceeds `max`.
+pub fn encode_frame(payload: &[u8], max: u32) -> Result<Vec<u8>, FrameError> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|l| *l <= max)
+        .ok_or(FrameError::TooLarge {
+            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+            max,
+        })?;
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(out)
+}
+
+/// Try to decode one frame from the front of `buf`.
+///
+/// * `Ok(Some((payload, consumed)))` — a complete, checksummed frame;
+///   `consumed` bytes of `buf` belong to it.
+/// * `Ok(None)` — `buf` holds a valid prefix of a frame: a stream reader
+///   reads more, log recovery has found its torn tail.
+/// * `Err(_)` — the bytes can never become a valid frame.
+///
+/// Total: never panics, for any input.
+pub fn decode_frame(buf: &[u8], max: u32) -> Result<Option<(&[u8], usize)>, FrameError> {
+    if buf.len() < FRAME_HEADER_LEN {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+    if len > max {
+        return Err(FrameError::TooLarge { len, max });
+    }
+    let Some(payload) = buf[FRAME_HEADER_LEN..].get(..len as usize) else {
+        return Ok(None);
+    };
+    let found = crc32(payload);
+    if found != expected {
+        return Err(FrameError::Checksum { expected, found });
+    }
+    Ok(Some((payload, FRAME_HEADER_LEN + payload.len())))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 //! The wire frame: `len ‖ crc ‖ payload`.
 //!
-//! Exactly the framing discipline the write-ahead log uses
-//! (`txlog_engine::wal`): a little-endian `u32` payload length, the
-//! payload's CRC-32 ([`txlog_relational::codec::crc32`]), then the
-//! payload bytes. A frame is self-delimiting and self-checking, so the
-//! receiver can always tell "need more bytes" apart from "corrupt
-//! stream", and a flipped bit anywhere in the payload is detected
-//! before the message decoder ever sees it.
+//! The framing itself is [`txlog_relational::codec`]'s — the same
+//! [`encode_frame`]/[`decode_frame`] the write-ahead log writes and
+//! recovers with, re-exported here under the names wire code uses. A
+//! frame is self-delimiting and self-checking, so the receiver can
+//! always tell "need more bytes" apart from "corrupt stream", and a
+//! flipped bit anywhere in the payload is detected before the message
+//! decoder ever sees it.
 //!
-//! The pure functions ([`encode_frame`], [`decode_frame`]) operate on
-//! byte buffers and never touch a socket — they are what the
-//! malformed-frame property tests drive. The IO functions layer
-//! timeouts on top: [`read_frame_timeout`] distinguishes an *idle*
+//! This module adds the socket side, layering timeouts on top of the
+//! pure codec routines: [`read_frame_timeout`] distinguishes an *idle*
 //! connection (no frame started) from a *torn* one (frame started but
 //! stalled), which is how the server enforces its idle and per-request
 //! read budgets without ever blocking forever.
@@ -19,97 +17,12 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use txlog_relational::codec::crc32;
-
-/// Bytes of framing before the payload: `len: u32 ‖ crc: u32`.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub use txlog_relational::codec::{decode_frame, encode_frame, FrameError, FRAME_HEADER_LEN};
 
 /// Default bound on a single frame's payload (16 MiB). Large enough
 /// for any response the server renders, small enough that a corrupt
 /// length prefix cannot make the receiver buffer unboundedly.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
-
-/// Why a byte sequence is not a valid frame.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FrameError {
-    /// The length prefix exceeds the configured bound.
-    TooLarge {
-        /// The length the prefix claimed.
-        len: u32,
-        /// The configured bound.
-        max: u32,
-    },
-    /// The payload's CRC-32 does not match the header's.
-    Checksum {
-        /// CRC recorded in the header.
-        expected: u32,
-        /// CRC of the payload actually received.
-        found: u32,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::TooLarge { len, max } => {
-                write!(f, "frame of {len} bytes exceeds the {max}-byte bound")
-            }
-            FrameError::Checksum { expected, found } => write!(
-                f,
-                "frame checksum mismatch: header {expected:#010x}, payload {found:#010x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// Frame a payload: header plus bytes, ready to write to a stream.
-/// Fails (rather than silently wrapping the length) when the payload
-/// exceeds `max`.
-pub fn encode_frame(payload: &[u8], max: u32) -> Result<Vec<u8>, FrameError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|l| *l <= max)
-        .ok_or(FrameError::TooLarge {
-            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-            max,
-        })?;
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// Try to decode one frame from the front of `buf`.
-///
-/// * `Ok(Some((payload, consumed)))` — a complete, checksummed frame;
-///   `consumed` bytes of `buf` belong to it.
-/// * `Ok(None)` — `buf` holds a valid prefix of a frame; read more.
-/// * `Err(_)` — the bytes can never become a valid frame.
-///
-/// Total: never panics, for any input.
-pub fn decode_frame(buf: &[u8], max: u32) -> Result<Option<(&[u8], usize)>, FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if len > max {
-        return Err(FrameError::TooLarge { len, max });
-    }
-    let total = FRAME_HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    let found = crc32(payload);
-    if found != expected {
-        return Err(FrameError::Checksum { expected, found });
-    }
-    Ok(Some((payload, total)))
-}
 
 /// Write one frame to a stream. An oversize payload is an
 /// [`io::ErrorKind::InvalidData`] error — a bug in the caller, never a

@@ -25,17 +25,12 @@ use txlog_relational::codec::{CodecError, Decoder, Encoder};
 /// subscriptions: [`Request::Subscribe`]/[`Request::Unsubscribe`], the
 /// [`Response::Subscribed`]/[`Response::Unsubscribed`] acknowledgements,
 /// the server-pushed [`Response::Notification`] frame, and the
-/// [`ErrorCode::SubscriptionOverflow`] code. All are strict extensions,
-/// so the server still serves [`MIN_PROTOCOL_VERSION`] clients (their
-/// `Begin` frames simply carry no level and default to Snapshot, and
-/// they never see a pushed frame because they cannot subscribe). A
-/// [`Request::Hello`] outside the supported range is refused with
+/// [`ErrorCode::SubscriptionOverflow`] code. Every client lives in
+/// this repository, so the server speaks exactly this version: a
+/// [`Request::Hello`] carrying any other is refused with
 /// [`ErrorCode::Protocol`] — the handshake is how both sides find out
 /// before any state changes hands.
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest protocol version the server still accepts.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Wire encoding of an isolation level (one byte, stable).
 fn isolation_to_u8(level: IsolationLevel) -> u8 {
@@ -128,9 +123,8 @@ pub enum Request {
     /// Open a multi-request transaction: subsequent `Execute`s stage
     /// instead of committing, until `Commit` or `Abort`.
     Begin {
-        /// Isolation level for the block's session. `None` (and every
-        /// protocol-v1 frame, which has no field to carry one) means
-        /// the server's default — Snapshot.
+        /// Isolation level for the block's session. `None` means the
+        /// server's default — Snapshot.
         isolation: Option<IsolationLevel>,
     },
     /// Commit the staged statements as one transaction.
@@ -485,8 +479,8 @@ impl Request {
             }
             Request::Begin { isolation } => {
                 e.u8(REQ_BEGIN);
-                // v1 compatibility: the field is trailing and optional —
-                // a bare tag is a Begin at the server default
+                // the field is trailing and optional: a bare tag is a
+                // Begin at the server default
                 if let Some(level) = isolation {
                     e.u8(isolation_to_u8(*level));
                 }
@@ -946,10 +940,15 @@ mod tests {
         ));
     }
 
-    /// A protocol-v1 `Begin` is a bare tag; it must decode as "no
-    /// level requested" so old clients keep their snapshot sessions.
     #[test]
-    fn v1_begin_decodes_without_isolation() {
+    fn isolation_levels_round_trip_on_the_wire() {
+        for level in IsolationLevel::ALL {
+            let req = Request::Begin {
+                isolation: Some(level),
+            };
+            assert_eq!(Request::decode(&req.encode()).expect("decodes"), req);
+        }
+        // a bare tag is a Begin at the server default
         assert_eq!(
             Request::decode(&[REQ_BEGIN]).expect("bare begin decodes"),
             Request::Begin { isolation: None }
@@ -959,16 +958,6 @@ mod tests {
             Request::decode(&[REQ_BEGIN, 9]),
             Err(CodecError::BadTag { .. })
         ));
-    }
-
-    #[test]
-    fn isolation_levels_round_trip_on_the_wire() {
-        for level in IsolationLevel::ALL {
-            let req = Request::Begin {
-                isolation: Some(level),
-            };
-            assert_eq!(Request::decode(&req.encode()).expect("decodes"), req);
-        }
     }
 
     /// Every `CommitError` variant maps to a distinct wire code and

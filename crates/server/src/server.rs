@@ -41,9 +41,7 @@ use txlog_logic::{parse_fformula, parse_fterm, FTerm, ParseCtx};
 use txlog_relational::{DbState, Schema};
 
 use crate::frame::{read_frame_timeout, write_frame, ReadOutcome, DEFAULT_MAX_FRAME_LEN};
-use crate::proto::{
-    ErrorCode, Request, Response, WireError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+use crate::proto::{ErrorCode, Request, Response, WireError, PROTOCOL_VERSION};
 
 /// Tunables for [`Server::bind_with`]. [`Default`] is sized for tests
 /// and small deployments; every knob exists so the end-to-end tests
@@ -381,9 +379,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         ReadOne::Wake | ReadOne::Closed => return,
     };
     match Request::decode(&payload) {
-        Ok(Request::Hello { protocol, .. })
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) =>
-        {
+        Ok(Request::Hello { protocol, .. }) if protocol == PROTOCOL_VERSION => {
             let relations = shared
                 .db
                 .schema()
@@ -404,10 +400,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         Ok(Request::Hello { protocol, .. }) => {
             let err = WireError::new(
                 ErrorCode::Protocol,
-                format!(
-                    "server speaks protocols {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
-                     client sent {protocol}"
-                ),
+                format!("server speaks protocol {PROTOCOL_VERSION}, client sent {protocol}"),
             )
             .with_detail(u64::from(PROTOCOL_VERSION));
             let _ = send(&mut stream, &Response::Error(err));
@@ -609,9 +602,8 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
                 ));
             }
             // a requested level re-opens the connection's session at
-            // that level (sessions fix their level at open); absent —
-            // including every protocol-v1 Begin — the session keeps
-            // whatever it runs at, the server default
+            // that level (sessions fix their level at open); absent, the
+            // session keeps whatever it runs at, the server default
             match isolation {
                 Some(level) if level != conn.session.isolation() => {
                     conn.session = shared

@@ -75,25 +75,32 @@ fn handshake_then_execute_and_query_round_trip() {
 #[test]
 fn version_mismatch_is_a_typed_protocol_error() {
     let server = serve(crew_db(), quick_cfg());
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
-    let hello = Request::Hello {
-        protocol: PROTOCOL_VERSION + 7,
-        client: "from the future".to_string(),
-    };
-    txlog::server::frame::write_frame(&mut stream, &hello.encode(), u32::MAX).expect("writes");
-    let mut buf = Vec::new();
-    match txlog::server::frame::read_frame_blocking(&mut stream, &mut buf, u32::MAX).expect("reads")
-    {
-        txlog::server::frame::ReadOutcome::Frame(payload) => {
-            match Response::decode(&payload).expect("decodes") {
-                Response::Error(e) => {
-                    assert_eq!(e.code, ErrorCode::Protocol);
-                    assert_eq!(e.detail, u64::from(PROTOCOL_VERSION));
+    // the server speaks exactly one version: newer and older are both refused
+    for (protocol, client) in [
+        (PROTOCOL_VERSION + 7, "from the future"),
+        (PROTOCOL_VERSION - 1, "from the past"),
+    ] {
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+        let hello = Request::Hello {
+            protocol,
+            client: client.to_string(),
+        };
+        txlog::server::frame::write_frame(&mut stream, &hello.encode(), u32::MAX).expect("writes");
+        let mut buf = Vec::new();
+        match txlog::server::frame::read_frame_blocking(&mut stream, &mut buf, u32::MAX)
+            .expect("reads")
+        {
+            txlog::server::frame::ReadOutcome::Frame(payload) => {
+                match Response::decode(&payload).expect("decodes") {
+                    Response::Error(e) => {
+                        assert_eq!(e.code, ErrorCode::Protocol, "version {protocol}");
+                        assert_eq!(e.detail, u64::from(PROTOCOL_VERSION));
+                    }
+                    other => panic!("expected a protocol error, got {other:?}"),
                 }
-                other => panic!("expected a protocol error, got {other:?}"),
             }
+            other => panic!("expected a frame, got {other:?}"),
         }
-        other => panic!("expected a frame, got {other:?}"),
     }
     server.shutdown();
     server.join();
