@@ -105,6 +105,11 @@ pub enum Counter {
     ExecModify,
     /// `assign` primitives executed.
     ExecAssign,
+    /// `EngineBuilder::build` calls: schema validations plus attribute
+    /// and signature table constructions. Owners of a schema (`Model`,
+    /// `Database`) build once and hand out views, so this grows with
+    /// models and databases made, not with formulas evaluated.
+    EngineBuilds,
     /// Closed s-formulas decided by the finite-model checker.
     ModelChecks,
     /// Constraint checks requested of an incremental checker
@@ -203,7 +208,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [Counter; 62] = [
+    pub const ALL: [Counter; 63] = [
         Counter::PlansCompiled,
         Counter::PrefilterCuts,
         Counter::ScanSteps,
@@ -229,6 +234,7 @@ impl Counter {
         Counter::ExecDelete,
         Counter::ExecModify,
         Counter::ExecAssign,
+        Counter::EngineBuilds,
         Counter::ModelChecks,
         Counter::ChecksRequested,
         Counter::CacheReused,
@@ -296,6 +302,7 @@ impl Counter {
             Counter::ExecDelete => "exec_delete",
             Counter::ExecModify => "exec_modify",
             Counter::ExecAssign => "exec_assign",
+            Counter::EngineBuilds => "engine_builds",
             Counter::ModelChecks => "model_checks",
             Counter::ChecksRequested => "checks_requested",
             Counter::CacheReused => "cache_reused",

@@ -8,7 +8,7 @@
 //! database's entire past.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txlog::constraints::{History, Window, WindowedChecker};
+use txlog::constraints::{Checker, History, Window};
 use txlog::empdb::constraints::{
     ic1_alloc_within_100, ic3_salary_needs_dept_switch, ic3_salary_never_same, ic3_skill_retention,
 };
@@ -46,7 +46,7 @@ fn bench_windows(c: &mut Criterion) {
         ("complete", ic3_salary_never_same(), Window::Complete),
     ];
     for (name, constraint, window) in cases {
-        let checker = WindowedChecker::new(constraint, window).expect("window accepted");
+        let checker = Checker::new(name, constraint, window).expect("window accepted");
         group.bench_function(BenchmarkId::new("check_now", name), |b| {
             b.iter(|| checker.check_now(&history).expect("evaluates"))
         });
@@ -62,12 +62,12 @@ fn bench_history_growth(c: &mut Criterion) {
     group.sample_size(10);
     for &len in &[2usize, 4, 8, 16] {
         let history = history_of_len(len, 10);
-        let complete = WindowedChecker::new(ic3_salary_never_same(), Window::Complete)
+        let complete = Checker::new("never-same", ic3_salary_never_same(), Window::Complete)
             .expect("window accepted");
         group.bench_with_input(BenchmarkId::new("complete", len), &len, |b, _| {
             b.iter(|| complete.check_now(&history).expect("evaluates"))
         });
-        let windowed = WindowedChecker::new(ic3_skill_retention(), Window::States(2))
+        let windowed = Checker::new("skill-retention", ic3_skill_retention(), Window::States(2))
             .expect("window accepted");
         group.bench_with_input(BenchmarkId::new("window2", len), &len, |b, _| {
             b.iter(|| windowed.check_now(&history).expect("evaluates"))
@@ -81,7 +81,7 @@ fn bench_database_growth(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[10usize, 50, 200] {
         let history = history_of_len(3, n);
-        let checker = WindowedChecker::new(ic3_skill_retention(), Window::States(2))
+        let checker = Checker::new("skill-retention", ic3_skill_retention(), Window::States(2))
             .expect("window accepted");
         group.bench_with_input(BenchmarkId::new("window2_emps", n), &n, |b, _| {
             b.iter(|| checker.check_now(&history).expect("evaluates"))

@@ -7,7 +7,7 @@
 //! "more knowledgable database systems" dividend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txlog::constraints::{AssistedChecker, History, VerifiedRegistry, Window};
+use txlog::constraints::{Checker, History, VerifiedRegistry, Window};
 use txlog::empdb::transactions::raise_salary;
 use txlog::empdb::{populate, Sizes};
 use txlog::engine::Env;
@@ -31,6 +31,8 @@ fn bench_assisted_vs_windowed(c: &mut Criterion) {
         history
             .step("raise", &raise_salary("emp-0", 5), &Env::new())
             .expect("raise executes");
+        let checker = Checker::new("monotone", constraint.clone(), Window::States(2))
+            .expect("window accepted");
 
         // certified path: the registry says `raise` preserves the
         // constraint (as the prover's regression would conclude for a
@@ -38,12 +40,9 @@ fn bench_assisted_vs_windowed(c: &mut Criterion) {
         let mut registry = VerifiedRegistry::new();
         registry.record("raise", "monotone");
         group.bench_with_input(BenchmarkId::new("certified_skip", n), &n, |b, _| {
-            let mut checker =
-                AssistedChecker::new("monotone", constraint.clone(), Window::States(2))
-                    .expect("window accepted");
             b.iter(|| {
                 checker
-                    .check_step(&history, "raise", &registry)
+                    .check_assisted(&history, "raise", &registry)
                     .expect("check evaluates")
             })
         });
@@ -51,12 +50,9 @@ fn bench_assisted_vs_windowed(c: &mut Criterion) {
         // uncertified path: full windowed model check every step
         let empty = VerifiedRegistry::new();
         group.bench_with_input(BenchmarkId::new("windowed_check", n), &n, |b, _| {
-            let mut checker =
-                AssistedChecker::new("monotone", constraint.clone(), Window::States(2))
-                    .expect("window accepted");
             b.iter(|| {
                 checker
-                    .check_step(&history, "raise", &empty)
+                    .check_assisted(&history, "raise", &empty)
                     .expect("check evaluates")
             })
         });

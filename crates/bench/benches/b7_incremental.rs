@@ -5,7 +5,7 @@
 //! the delta is O(1) and the full database is O(n). The constraints
 //! under check read only EMP, so their [`ReadSet`] is disjoint from the
 //! noise deltas and the `IncrementalChecker` answers from its verdict
-//! cache; the plain `WindowedChecker` rebuilds the window model and
+//! cache; the plain `Checker` rebuilds the window model and
 //! re-enumerates EMP every time. The `check` group isolates the cost of
 //! one verdict at the history's current end; the `steps` group replays a
 //! batch of execute-then-check steps end to end.
@@ -13,7 +13,7 @@
 //! [`ReadSet`]: txlog::constraints::ReadSet
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txlog::constraints::{History, IncrementalChecker, Window, WindowedChecker};
+use txlog::constraints::{Checker, History, IncrementalChecker, Window};
 use txlog::empdb::data::emp_name;
 use txlog::empdb::transactions::obtain_skill;
 use txlog::empdb::{parse_ctx, populate, Sizes};
@@ -54,7 +54,7 @@ fn prepared(
     employees: usize,
     constraint: &SFormula,
     window: Window,
-) -> (History, WindowedChecker, IncrementalChecker) {
+) -> (History, Checker, IncrementalChecker) {
     let (schema, db) = populate(Sizes::scaled(employees), 7).expect("populates");
     let mut inc = IncrementalChecker::new(
         schema.clone(),
@@ -63,7 +63,7 @@ fn prepared(
         window.clone(),
     )
     .expect("checkable");
-    let full = WindowedChecker::new(constraint.clone(), window).expect("checkable");
+    let full = Checker::new("full", constraint.clone(), window).expect("checkable");
     let mut history = History::new(schema, db);
     let env = Env::new();
     for i in 0..4u64 {

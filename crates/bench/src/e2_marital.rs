@@ -10,9 +10,7 @@
 //!    with a two-state history.
 
 use crate::{Claim, Report};
-use txlog::constraints::{
-    checkability, classify, ConstraintClass, History, Window, WindowedChecker,
-};
+use txlog::constraints::{checkability, classify, Checker, ConstraintClass, History, Window};
 use txlog::empdb::constraints::{ic2_hints, ic2_marital_state_pair, ic2_marital_transaction};
 use txlog::empdb::transactions::{annul, birthday, hire, marry};
 use txlog::empdb::{employee_schema, populate, Sizes};
@@ -119,7 +117,7 @@ pub fn run() -> Report {
     history
         .step("annul-and-age", &annul("ann").seq(birthday("ann")), &env)
         .expect("annul executes");
-    let checker = WindowedChecker::new(ic2_marital_transaction(), Window::States(2))
+    let checker = Checker::new("marital", ic2_marital_transaction(), Window::States(2))
         .expect("window accepted");
     let outcome = checker.replay(&history).expect("replay evaluates");
     let legal_prefix_ok = outcome.per_step[..3].iter().all(|&ok| ok);

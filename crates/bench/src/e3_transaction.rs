@@ -18,7 +18,7 @@
 //!    constraint.
 
 use crate::{Claim, Report};
-use txlog::constraints::{checkability, find_window_unsoundness, History, Window, WindowedChecker};
+use txlog::constraints::{checkability, find_window_unsoundness, Checker, History, Window};
 use txlog::empdb::constraints::{
     ic1_alloc_references_project, ic3_assoc_connection, ic3_dept_reference_connection,
     ic3_never_same_hints, ic3_salary_hints, ic3_salary_needs_dept_switch, ic3_salary_never_same,
@@ -33,6 +33,8 @@ use txlog::engine::Env;
 
 /// Run E3.
 pub fn run() -> Report {
+    let windowed =
+        |name: &str, ic, k| Checker::new(name, ic, Window::States(k)).expect("window ok");
     let mut claims = Vec::new();
     let schema = employee_schema();
     let env = Env::new();
@@ -77,8 +79,7 @@ pub fn run() -> Report {
     // (the paper's window-2 argument assumes employees are never rehired)
     h.step("raise", &raise_salary("emp-0", 50), &env)
         .expect("raise executes");
-    let checker =
-        WindowedChecker::new(ic3_skill_retention(), Window::States(2)).expect("window ok");
+    let checker = windowed("skill-retention", ic3_skill_retention(), 2);
     let legal = checker.replay(&h).expect("replay evaluates");
     claims.push(Claim::new(
         "skill retention: legal history",
@@ -147,8 +148,7 @@ pub fn run() -> Report {
         format!("unsoundness witness found = {}", gap.is_some()),
         gap.is_some(),
     ));
-    let checker3 =
-        WindowedChecker::new(ic3_salary_needs_dept_switch(), Window::States(3)).expect("window ok");
+    let checker3 = windowed("salary-dept", ic3_salary_needs_dept_switch(), 3);
     let out3 = checker3.replay(&h).expect("replay evaluates");
     claims.push(Claim::new(
         "salary/department: window 3 catches it",
@@ -201,7 +201,7 @@ pub fn run() -> Report {
         .expect("cut executes");
     let w2 = find_window_unsoundness(&ic3_salary_never_same(), 2, &h).expect("analysis evaluates");
     let w3 = find_window_unsoundness(&ic3_salary_never_same(), 3, &h).expect("analysis evaluates");
-    let complete = WindowedChecker::new(ic3_salary_never_same(), Window::Complete)
+    let complete = Checker::new("never-same", ic3_salary_never_same(), Window::Complete)
         .expect("window ok")
         .replay(&h)
         .expect("replay evaluates");
@@ -231,8 +231,7 @@ pub fn run() -> Report {
     .expect("hire executes");
     h.step("del-dept", &delete_dept("dept-0"), &env)
         .expect("delete executes");
-    let ref_checker = WindowedChecker::new(ic3_dept_reference_connection(), Window::States(2))
-        .expect("window ok");
+    let ref_checker = windowed("dept-ref", ic3_dept_reference_connection(), 2);
     let out = ref_checker.replay(&h).expect("replay evaluates");
     claims.push(Claim::new(
         "reference connection: deleting a populated department",
@@ -261,12 +260,10 @@ pub fn run() -> Report {
     .expect("transaction parses");
     h.step("kill-proj-1", &kill_proj, &env)
         .expect("delete executes");
-    let assoc = WindowedChecker::new(ic3_assoc_connection(), Window::States(2))
-        .expect("window ok")
+    let assoc = windowed("assoc", ic3_assoc_connection(), 2)
         .replay(&h)
         .expect("replay evaluates");
-    let static_ref = WindowedChecker::new(ic1_alloc_references_project(), Window::States(1))
-        .expect("window ok")
+    let static_ref = windowed("alloc-ref", ic1_alloc_references_project(), 1)
         .replay(&h)
         .expect("replay evaluates");
     let both_catch = assoc.per_step.iter().any(|&b| !b) && static_ref.per_step.iter().any(|&b| !b);

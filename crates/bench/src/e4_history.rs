@@ -11,8 +11,7 @@
 
 use crate::{Claim, Report};
 use txlog::constraints::{
-    checkability, classify, ConstraintClass, Hints, History, NeverReinsertEncoding, Window,
-    WindowedChecker,
+    checkability, classify, Checker, ConstraintClass, Hints, History, NeverReinsertEncoding, Window,
 };
 use txlog::empdb::constraints::{
     ic4_future_hints, ic4_invertible_unless_age, ic4_never_rehire, ic4_no_project_forever,
@@ -103,7 +102,7 @@ pub fn run() -> Report {
     let mut windows_pass = true;
     for k in [2usize, 3] {
         let checker =
-            WindowedChecker::new(ic4_never_rehire(), Window::States(k)).expect("window ok");
+            Checker::new("never-rehire", ic4_never_rehire(), Window::States(k)).expect("window ok");
         let out = checker.replay(&h).expect("replay evaluates");
         windows_pass &= out.per_step.iter().all(|&b| b);
     }
@@ -151,7 +150,8 @@ pub fn run() -> Report {
     let fire_encoded = enc.rewrite(&fire("gil"));
     h2.step("fire-gil", &fire_encoded, &env)
         .expect("fire executes");
-    let checker = WindowedChecker::new(static_ic.clone(), Window::States(1)).expect("window ok");
+    let checker =
+        Checker::new("fire-static", static_ic.clone(), Window::States(1)).expect("window ok");
     let before = checker.check_now(&h2).expect("check evaluates");
     h2.step(
         "rehire-gil",

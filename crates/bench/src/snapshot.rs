@@ -145,7 +145,7 @@ fn cache_exercise(metrics: &Metrics) {
 /// read-set skip. Deterministic because there is exactly one thread —
 /// the interleaving is the program order.
 fn commit_exercise(metrics: &Metrics) {
-    use txlog::constraints::{Hints, SessionConstraint};
+    use txlog::constraints::{Checker, Hints};
     use txlog::engine::{CommitError, Database, RetryPolicy};
     use txlog::prelude::Schema;
 
@@ -171,7 +171,7 @@ fn commit_exercise(metrics: &Metrics) {
         .build()
         .expect("database builds");
     db.add_constraint(Box::new(
-        SessionConstraint::new("pay-cap", cap, Hints::default()).expect("bounded window"),
+        Checker::for_session("pay-cap", cap, Hints::default()).expect("bounded window"),
     ))
     .expect("base state satisfies the cap");
     let env = Env::new();
@@ -222,7 +222,7 @@ fn commit_exercise(metrics: &Metrics) {
 /// and a read-committed request escalated to snapshot by a window-2
 /// constraint. Deterministic because there is exactly one thread.
 fn isolation_exercise(metrics: &Metrics) {
-    use txlog::constraints::{Hints, SessionConstraint};
+    use txlog::constraints::{Checker, Hints};
     use txlog::engine::{CommitError, Database, IsolationLevel, SessionOptions};
     use txlog::prelude::Schema;
 
@@ -289,7 +289,7 @@ fn isolation_exercise(metrics: &Metrics) {
     };
     windowed
         .add_constraint(Box::new(
-            SessionConstraint::new("wage-mono", mono, transitive).expect("bounded window"),
+            Checker::for_session("wage-mono", mono, transitive).expect("bounded window"),
         ))
         .expect("initial state satisfies the constraint");
     let escalated = windowed.session_with(SessionOptions::read_committed());

@@ -7,19 +7,22 @@
 //!
 //! * transactions are registered with per-constraint **verification
 //!   verdicts** (from `txlog-prover`'s pipeline, or any other proof);
-//! * at each step, constraints the arriving transaction *provably
-//!   preserves* are skipped — no model built, no history consulted;
+//! * at each step, [`Checker::check_assisted`] skips constraints the
+//!   arriving transaction *provably preserves* — no model built, no
+//!   history consulted;
 //! * other constraints fall back to the ordinary windowed check.
 //!
 //! A transaction constraint that would need a two-state window becomes
 //! maintainable with **zero** retained history along runs that only
-//! execute verified transactions; the checker tracks how often each
-//! path was taken so the saving is measurable (bench `b6_assisted`).
+//! execute verified transactions; each call reports which path it took
+//! so the saving is measurable (bench `b6_assisted`). Certificates
+//! reduce *cost*, not expressiveness: a non-checkable constraint is
+//! still rejected by [`Checker::new`].
 
-use crate::window::{History, Window, WindowedChecker};
+use crate::window::{Checker, History};
 use std::collections::{HashMap, HashSet};
 use txlog_base::obs::{Counter, Metrics};
-use txlog_base::{TxError, TxResult};
+use txlog_base::TxResult;
 use txlog_logic::SFormula;
 
 /// A registry of transactions verified to preserve given constraints.
@@ -55,69 +58,42 @@ impl VerifiedRegistry {
     }
 }
 
-/// Outcome counters for one assisted checker.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct AssistStats {
-    /// Steps decided by the verification certificate alone.
-    pub skipped_by_proof: usize,
-    /// Steps that ran the windowed model check.
-    pub model_checked: usize,
+/// How [`Checker::check_assisted`] decided a step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Assisted {
+    /// The registry certifies the transaction for this constraint: the
+    /// step is accepted and no model was built.
+    Certified,
+    /// No certificate: the window was model-checked, with this verdict.
+    Checked(bool),
 }
 
-/// A constraint checker that consults verification certificates before
-/// building any model.
-pub struct AssistedChecker {
-    name: String,
-    fallback: WindowedChecker,
-    stats: AssistStats,
+impl Assisted {
+    /// Whether the constraint holds after the step.
+    pub fn holds(self) -> bool {
+        self != Assisted::Checked(false)
+    }
 }
 
-impl AssistedChecker {
-    /// Wrap `constraint` (named `name` for registry lookups) with its
-    /// fallback window.
-    pub fn new(name: &str, constraint: SFormula, window: Window) -> TxResult<AssistedChecker> {
-        Ok(AssistedChecker {
-            name: name.to_string(),
-            fallback: WindowedChecker::new(constraint, window)?,
-            stats: AssistStats::default(),
-        })
-    }
-
-    /// The constraint's registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> AssistStats {
-        self.stats
-    }
-
+impl Checker {
     /// Check the newest step of `history`, whose final transition was
     /// produced by the transaction labelled `last_label`. If the registry
-    /// certifies that transaction for this constraint, the step is
-    /// accepted without model checking (soundly: a proof covers every
-    /// state, including this one); otherwise the windowed check runs.
-    pub fn check_step(
-        &mut self,
+    /// certifies that transaction for this constraint (by
+    /// [`name`](Checker::name)), the step is accepted without model
+    /// checking (soundly: a proof covers every state, including this
+    /// one); otherwise [`check_now`](Checker::check_now) runs.
+    pub fn check_assisted(
+        &self,
         history: &History,
         last_label: &str,
         registry: &VerifiedRegistry,
-    ) -> TxResult<bool> {
-        if registry.certified(last_label, &self.name) {
-            self.stats.skipped_by_proof += 1;
-            // Also visible in the engine-wide metrics layer (the
-            // matching model-check counter comes from Model::check).
+    ) -> TxResult<Assisted> {
+        if registry.certified(last_label, self.name()) {
+            // the matching model-check counter comes from Model::check
             Metrics::current().bump(Counter::ProofSkips);
-            return Ok(true);
+            return Ok(Assisted::Certified);
         }
-        self.stats.model_checked += 1;
-        self.fallback.check_now(history)
-    }
-
-    /// The full check, ignoring certificates (for comparisons).
-    pub fn check_unassisted(&self, history: &History) -> TxResult<bool> {
-        self.fallback.check_now(history)
+        self.check_now(history).map(Assisted::Checked)
     }
 }
 
@@ -149,21 +125,10 @@ where
     Ok((registry, log))
 }
 
-/// Guard against misuse: constructing an assisted checker over a
-/// non-checkable window is still an error (certificates reduce *cost*,
-/// not expressiveness).
-pub fn assisted_window_guard(window: &Window) -> TxResult<()> {
-    if let Window::NotCheckable(reason) = window {
-        return Err(TxError::eval(format!(
-            "assisted checking cannot rescue a non-checkable constraint: {reason}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::Window;
     use txlog_base::Atom;
     use txlog_engine::Env;
     use txlog_logic::{parse_fterm, parse_sformula, ParseCtx};
@@ -203,7 +168,7 @@ mod tests {
     fn certified_steps_skip_model_checking() {
         let mut registry = VerifiedRegistry::new();
         registry.record("raise", "monotone");
-        let mut checker = AssistedChecker::new("monotone", monotone(), Window::States(2)).unwrap();
+        let checker = Checker::new("monotone", monotone(), Window::States(2)).unwrap();
         let mut history = start();
         let raise = parse_fterm(
             "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end",
@@ -213,21 +178,15 @@ mod tests {
         .unwrap();
         for _ in 0..3 {
             history.step("raise", &raise, &Env::new()).unwrap();
-            assert!(checker.check_step(&history, "raise", &registry).unwrap());
+            let step = checker.check_assisted(&history, "raise", &registry);
+            assert_eq!(step.unwrap(), Assisted::Certified);
         }
-        assert_eq!(
-            checker.stats(),
-            AssistStats {
-                skipped_by_proof: 3,
-                model_checked: 0
-            }
-        );
     }
 
     #[test]
     fn uncertified_steps_fall_back_and_catch_violations() {
         let registry = VerifiedRegistry::new(); // nothing certified
-        let mut checker = AssistedChecker::new("monotone", monotone(), Window::States(2)).unwrap();
+        let checker = Checker::new("monotone", monotone(), Window::States(2)).unwrap();
         let mut history = start();
         let cut = parse_fterm(
             "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) - 10) end",
@@ -236,16 +195,16 @@ mod tests {
         )
         .unwrap();
         history.step("cut", &cut, &Env::new()).unwrap();
-        assert!(!checker.check_step(&history, "cut", &registry).unwrap());
-        assert_eq!(checker.stats().model_checked, 1);
-        assert_eq!(checker.stats().skipped_by_proof, 0);
+        let step = checker.check_assisted(&history, "cut", &registry).unwrap();
+        assert_eq!(step, Assisted::Checked(false));
+        assert!(!step.holds());
     }
 
     #[test]
     fn certificates_are_per_constraint() {
         let mut registry = VerifiedRegistry::new();
         registry.record("raise", "some-other-constraint");
-        let mut checker = AssistedChecker::new("monotone", monotone(), Window::States(2)).unwrap();
+        let checker = Checker::new("monotone", monotone(), Window::States(2)).unwrap();
         let mut history = start();
         let raise = parse_fterm(
             "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end",
@@ -254,15 +213,9 @@ mod tests {
         )
         .unwrap();
         history.step("raise", &raise, &Env::new()).unwrap();
-        assert!(checker.check_step(&history, "raise", &registry).unwrap());
-        // fell back: the certificate names a different constraint
-        assert_eq!(checker.stats().model_checked, 1);
-    }
-
-    #[test]
-    fn not_checkable_guard() {
-        assert!(assisted_window_guard(&Window::States(2)).is_ok());
-        assert!(assisted_window_guard(&Window::NotCheckable("future".into())).is_err());
+        // falls back: the certificate names a different constraint
+        let step = checker.check_assisted(&history, "raise", &registry);
+        assert_eq!(step.unwrap(), Assisted::Checked(true));
     }
 
     #[test]

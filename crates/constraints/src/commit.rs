@@ -2,102 +2,59 @@
 //!
 //! [`Database`](txlog_engine::Database) validates commits through the
 //! engine-side [`CommitConstraint`] trait, which knows nothing about
-//! s-formulas. [`SessionConstraint`] is the adapter: it packages one
-//! constraint formula together with the two static analyses this crate
-//! already provides —
-//!
-//! * [`checkability`] decides how many consecutive states a check must
-//!   see (the paper's Section 3 window), rejecting constraints that
-//!   would need the complete history;
-//! * [`read_set`] over-approximates the relations the verdict can
-//!   depend on, which the session layer intersects with each commit's
-//!   [`Delta`] to skip checks that cannot change the verdict.
-//!
-//! A check builds a [`History`] from the window the session hands over
-//! and decides the formula in its window model, exactly like
-//! [`WindowedChecker`](crate::WindowedChecker) does for linear
-//! histories.
+//! s-formulas. [`Checker`] implements it: the session layer hands over
+//! a borrowed window of consecutive states, [`Checker::check_window`]
+//! decides the formula in their window model exactly as it does for a
+//! recorded [`History`](crate::History), and [`Checker::read_set`] is
+//! intersected with each commit's [`Delta`] to skip checks that cannot
+//! change the verdict.
 
-use crate::readset::{read_set, ReadSet};
-use crate::window::{checkability, Hints, History, Window};
+use crate::window::{checkability, Checker, Hints, Window};
 use txlog_base::{TxError, TxResult};
-use txlog_engine::CommitConstraint;
+use txlog_engine::{CommitConstraint, IsolationLevel};
 use txlog_logic::SFormula;
 use txlog_relational::{DbState, Delta, Schema};
 
-/// A declared constraint, packaged for [`Database::add_constraint`].
-///
-/// [`Database::add_constraint`]: txlog_engine::Database::add_constraint
-///
-/// ```
-/// use txlog_constraints::{Hints, SessionConstraint};
-/// use txlog_engine::Database;
-/// use txlog_logic::{parse_sformula, ParseCtx};
-/// use txlog_relational::Schema;
-///
-/// let schema = Schema::new().relation("EMP", &["e-name", "salary"]).unwrap();
-/// let ctx = ParseCtx::with_relations(&["EMP"]);
-/// let cap = parse_sformula(
-///     "forall s: state, e': 2tup . e' in s:EMP -> salary(e') <= 1000",
-///     &ctx,
-/// )
-/// .unwrap();
-/// let c = SessionConstraint::new("salary-cap", cap, Hints::default()).unwrap();
-/// let mut db = Database::new(schema).unwrap();
-/// db.add_constraint(Box::new(c)).unwrap();
-/// ```
-pub struct SessionConstraint {
-    name: String,
-    formula: SFormula,
-    window: usize,
-    readset: ReadSet,
-}
-
-impl SessionConstraint {
-    /// Package `formula` for commit-time validation.
+impl Checker {
+    /// Package `formula` for [`Database::add_constraint`], with the
+    /// window [`checkability`] derives under `hints`. A session window
+    /// is bounded by construction, so [`Window::Complete`] is rejected
+    /// along with [`Window::NotCheckable`]: enforcing an unbounded
+    /// constraint there would be silently unsound.
     ///
-    /// Runs [`checkability`] under `hints`; constraints classified
-    /// [`Window::Complete`] or [`Window::NotCheckable`] are rejected —
-    /// a session window is bounded by construction, so enforcing an
-    /// unbounded constraint there would be silently unsound.
-    pub fn new(
+    /// [`Database::add_constraint`]: txlog_engine::Database::add_constraint
+    ///
+    /// ```
+    /// use txlog_constraints::{Checker, Hints};
+    /// use txlog_engine::Database;
+    /// use txlog_logic::{parse_sformula, ParseCtx};
+    /// use txlog_relational::Schema;
+    ///
+    /// let schema = Schema::new().relation("EMP", &["e-name", "salary"]).unwrap();
+    /// let ctx = ParseCtx::with_relations(&["EMP"]);
+    /// let cap = parse_sformula(
+    ///     "forall s: state, e': 2tup . e' in s:EMP -> salary(e') <= 1000",
+    ///     &ctx,
+    /// )
+    /// .unwrap();
+    /// let c = Checker::for_session("salary-cap", cap, Hints::default()).unwrap();
+    /// let mut db = Database::new(schema).unwrap();
+    /// db.add_constraint(Box::new(c)).unwrap();
+    /// ```
+    pub fn for_session(
         name: impl Into<String>,
         formula: SFormula,
         hints: Hints,
-    ) -> TxResult<SessionConstraint> {
+    ) -> TxResult<Checker> {
         let name = name.into();
-        let window = match checkability(&formula, hints) {
-            Window::States(k) => k.max(1),
-            Window::Complete => {
-                return Err(TxError::eval(format!(
-                    "constraint {name:?} needs the complete history; \
-                     sessions retain a bounded window (encode it first, \
-                     e.g. NeverReinsertEncoding)"
-                )))
-            }
-            Window::NotCheckable(reason) => {
-                return Err(TxError::eval(format!(
-                    "constraint {name:?} is not checkable: {reason}"
-                )))
-            }
-        };
-        let readset = read_set(&formula);
-        Ok(SessionConstraint {
-            name,
-            formula,
-            window,
-            readset,
-        })
-    }
-
-    /// The constraint formula.
-    pub fn formula(&self) -> &SFormula {
-        &self.formula
-    }
-
-    /// The read-set commit skipping is keyed on.
-    pub fn read_set(&self) -> &ReadSet {
-        &self.readset
+        match checkability(&formula, hints) {
+            Window::Complete => Err(TxError::eval(format!(
+                "constraint {name:?} needs the complete history; \
+                 sessions retain a bounded window (encode it first, \
+                 e.g. NeverReinsertEncoding)"
+            ))),
+            window => Checker::new(name, formula, window),
+        }
     }
 
     /// The weakest [`IsolationLevel`] at which sessions can soundly run
@@ -112,20 +69,19 @@ impl SessionConstraint {
     /// this by escalating read-committed requests to snapshot whenever
     /// such a constraint is registered.
     ///
-    /// [`IsolationLevel`]: txlog_engine::IsolationLevel
     /// [`Database::session_with`]: txlog_engine::Database::session_with
-    pub fn min_isolation(&self) -> txlog_engine::IsolationLevel {
+    pub fn min_isolation(&self) -> IsolationLevel {
         if self.window >= 2 {
-            txlog_engine::IsolationLevel::Snapshot
+            IsolationLevel::Snapshot
         } else {
-            txlog_engine::IsolationLevel::ReadCommitted
+            IsolationLevel::ReadCommitted
         }
     }
 }
 
-impl CommitConstraint for SessionConstraint {
+impl CommitConstraint for Checker {
     fn name(&self) -> &str {
-        &self.name
+        Checker::name(self)
     }
 
     fn window_states(&self) -> usize {
@@ -133,19 +89,11 @@ impl CommitConstraint for SessionConstraint {
     }
 
     fn affected_by(&self, schema: &Schema, delta: &Delta) -> bool {
-        self.readset.overlaps(schema, delta)
+        self.read_set().overlaps(schema, delta)
     }
 
     fn check(&self, schema: &Schema, states: &[DbState], labels: &[&str]) -> TxResult<bool> {
-        let Some((first, rest)) = states.split_first() else {
-            return Err(TxError::eval("constraint check over an empty window"));
-        };
-        let mut history = History::new(schema.clone(), first.clone());
-        for (i, state) in rest.iter().enumerate() {
-            let label = labels.get(i).copied().unwrap_or("step");
-            history.push_state(label, state.clone());
-        }
-        history.window_model(states.len())?.check(&self.formula)
+        self.check_window(schema, states, labels)
     }
 }
 
@@ -173,11 +121,11 @@ mod tests {
             &ctx(),
         )
         .unwrap();
-        let c = SessionConstraint::new("cap", cap, Hints::default()).unwrap();
+        let c = Checker::for_session("cap", cap, Hints::default()).unwrap();
         assert_eq!(c.window_states(), 1);
         assert_eq!(
             c.min_isolation(),
-            txlog_engine::IsolationLevel::ReadCommitted,
+            IsolationLevel::ReadCommitted,
             "a static constraint is safe under statement-level snapshots"
         );
     }
@@ -192,16 +140,16 @@ mod tests {
         )
         .unwrap();
         // without the transitivity argument no bounded window is sound
-        assert!(SessionConstraint::new("mono", mono.clone(), Hints::default()).is_err());
+        assert!(Checker::for_session("mono", mono.clone(), Hints::default()).is_err());
         let transitive = Hints {
             step_relation_transitive: true,
             ..Hints::default()
         };
-        let c = SessionConstraint::new("mono", mono, transitive).unwrap();
+        let c = Checker::for_session("mono", mono, transitive).unwrap();
         assert_eq!(c.window_states(), 2);
         assert_eq!(
             c.min_isolation(),
-            txlog_engine::IsolationLevel::Snapshot,
+            IsolationLevel::Snapshot,
             "a transition constraint needs a stable pre-state"
         );
     }
@@ -213,7 +161,7 @@ mod tests {
             &ctx(),
         )
         .unwrap();
-        let c = SessionConstraint::new("cap", cap, Hints::default()).unwrap();
+        let c = Checker::for_session("cap", cap, Hints::default()).unwrap();
         let schema = schema();
         let emp = schema.rel_id("EMP").unwrap();
         let (initial, _) = schema
@@ -254,6 +202,6 @@ mod tests {
             refers_to_future: true,
             ..Hints::default()
         };
-        assert!(SessionConstraint::new("future", cap, future).is_err());
+        assert!(Checker::for_session("future", cap, future).is_err());
     }
 }

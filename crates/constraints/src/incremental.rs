@@ -1,17 +1,17 @@
 //! Delta-driven incremental constraint checking.
 //!
-//! A [`WindowedChecker`] rebuilds its window model and re-evaluates the
+//! [`Checker::check_now`] rebuilds its window model and re-evaluates the
 //! constraint after *every* transaction, even when the step could not
 //! possibly have changed the verdict — the common case for a large
-//! database with localized updates. [`IncrementalChecker`] wraps the same
-//! history/checker machinery with a sound verdict cache driven by the
-//! deltas of the executed transactions:
+//! database with localized updates. [`IncrementalChecker`] is the
+//! stateful half: a [`Checker`] plus the [`History`] it runs over and a
+//! sound verdict cache driven by the deltas of the executed transactions:
 //!
 //! * each step's [`Delta`] updates per-relation *fingerprints* (an XOR of
 //!   per-tuple hashes) in O(|delta|), so the checker always knows a
 //!   digest of every state's content without rescanning it;
-//! * the constraint's [`ReadSet`] (see [`read_set`]) over-approximates
-//!   the relations its verdict can depend on;
+//! * the constraint's [`ReadSet`](crate::ReadSet) over-approximates the
+//!   relations its verdict can depend on;
 //! * before re-evaluating, the checker forms a **window key**: for every
 //!   state in the current window, its content-dedup class (which window
 //!   states are fully content-equal — this fixes the shape of the window
@@ -25,18 +25,16 @@
 //! propagate from a real evaluation. A [`Window::Complete`] constraint is
 //! checked against the whole (growing) history every time — there is no
 //! window to cache against — and [`Window::NotCheckable`] is rejected at
-//! construction exactly as [`WindowedChecker::new`] rejects it.
+//! construction exactly as [`Checker::new`] rejects it.
 //!
 //! The differential property harness (`tests/prop_incremental.rs`)
 //! asserts step-for-step verdict equality — including errors — between
-//! this checker and a plain [`WindowedChecker`] over randomized schemas,
+//! this checker and a plain [`Checker`] over randomized schemas,
 //! histories, and constraints.
 //!
 //! [`Delta`]: txlog_relational::Delta
-//! [`read_set`]: crate::readset::read_set
 
-use crate::readset::{read_set, ReadSet};
-use crate::window::{History, Window, WindowedChecker};
+use crate::window::{Checker, History, Window};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use txlog_base::obs::{Counter, Hist, Metrics};
@@ -73,8 +71,8 @@ struct WindowKey {
     labels: Vec<String>,
 }
 
-/// Incremental enforcement of one constraint: a [`WindowedChecker`] with
-/// a delta-maintained verdict cache.
+/// Incremental enforcement of one constraint: a [`Checker`] with its
+/// history and a delta-maintained verdict cache.
 ///
 /// ```
 /// use txlog_constraints::{IncrementalChecker, Window};
@@ -101,9 +99,7 @@ struct WindowKey {
 /// ```
 #[derive(Clone)]
 pub struct IncrementalChecker {
-    checker: WindowedChecker,
-    window: usize,
-    readset: ReadSet,
+    checker: Checker,
     read_ids: Option<BTreeSet<RelId>>,
     history: History,
     rel_fps: Vec<BTreeMap<RelId, RelFp>>,
@@ -115,23 +111,16 @@ pub struct IncrementalChecker {
 
 impl IncrementalChecker {
     /// A checker for `constraint` over a history starting at `initial`,
-    /// maintaining `window` states. Fails exactly when
-    /// [`WindowedChecker::new`] fails (zero-state or not-checkable
-    /// windows).
+    /// maintaining `window` states. Fails exactly when [`Checker::new`]
+    /// fails (zero-state or not-checkable windows).
     pub fn new(
         schema: Schema,
         initial: DbState,
         constraint: SFormula,
         window: Window,
     ) -> TxResult<IncrementalChecker> {
-        let k = match &window {
-            Window::States(k) => *k,
-            Window::Complete => usize::MAX,
-            Window::NotCheckable(_) => 0, // rejected below
-        };
-        let checker = WindowedChecker::new(constraint, window)?;
-        let readset = read_set(checker.constraint());
-        let read_ids = readset.names().map(|names| {
+        let checker = Checker::new("incremental", constraint, window)?;
+        let read_ids = checker.read_set().names().map(|names| {
             names
                 .iter()
                 .filter_map(|&n| schema.by_name(n).map(|d| d.id))
@@ -140,32 +129,26 @@ impl IncrementalChecker {
         let rel_fps0 = state_rel_fps(&initial);
         let full0 = combine_fps(&rel_fps0, None);
         let proj0 = combine_fps(&rel_fps0, read_ids.as_ref());
-        // Per-instance recording registry (not the process global):
-        // clones share it so a cloned checker keeps accumulating into
-        // the same counters.
-        let metrics = Metrics::enabled();
-        let read_rels = read_ids
-            .as_ref()
-            .map_or(schema.decls().len(), BTreeSet::len);
-        metrics.observe(Hist::ReadSetRels, read_rels as u64);
-        Ok(IncrementalChecker {
+        let unobserved = IncrementalChecker {
             checker,
-            window: k,
-            readset,
             read_ids,
             history: History::new(schema, initial),
             rel_fps: vec![rel_fps0],
             full_fps: vec![full0],
             proj_fps: vec![proj0],
             cache: HashMap::new(),
-            metrics,
-        })
+            metrics: Metrics::disabled(),
+        };
+        // Per-instance recording registry (not the process global):
+        // clones share it so a cloned checker keeps accumulating into
+        // the same counters.
+        Ok(unobserved.with_metrics(Metrics::enabled()))
     }
 
     /// Replace the observability sink — e.g. with a process-global
     /// registry so this checker's cache counters aggregate with engine
-    /// counters in one snapshot. The construction-time read-set
-    /// observation is re-recorded into the new sink.
+    /// counters in one snapshot. The read-set observation is recorded
+    /// into every sink the checker is given.
     pub fn with_metrics(mut self, metrics: Metrics) -> IncrementalChecker {
         let read_rels = self
             .read_ids
@@ -181,14 +164,10 @@ impl IncrementalChecker {
         &self.metrics
     }
 
-    /// The constraint being enforced.
-    pub fn constraint(&self) -> &SFormula {
-        self.checker.constraint()
-    }
-
-    /// The constraint's read-set (the relations reuse is keyed on).
-    pub fn read_set(&self) -> &ReadSet {
-        &self.readset
+    /// The stateless checker: the constraint, its window, and the
+    /// read-set reuse is keyed on.
+    pub fn checker(&self) -> &Checker {
+        &self.checker
     }
 
     /// The recorded history.
@@ -233,7 +212,7 @@ impl IncrementalChecker {
     pub fn check_now(&mut self) -> TxResult<bool> {
         self.metrics.bump(Counter::ChecksRequested);
         let _span = self.metrics.span("incremental_check");
-        if self.window == usize::MAX {
+        if self.checker.window == usize::MAX {
             // Complete window: the model is the whole growing history;
             // no later window can repeat an earlier key.
             self.metrics.bump(Counter::CacheRecomputed);
@@ -252,7 +231,7 @@ impl IncrementalChecker {
 
     fn window_key(&self) -> WindowKey {
         let len = self.history.len();
-        let start = len.saturating_sub(self.window.max(1));
+        let start = len.saturating_sub(self.checker.window);
         let fulls = &self.full_fps[start..len];
         self.metrics.observe(Hist::WindowStates, fulls.len() as u64);
         let mut shape = Vec::with_capacity(fulls.len());
@@ -440,7 +419,7 @@ mod tests {
     }
 
     /// Run the same steps through an IncrementalChecker and a plain
-    /// WindowedChecker, asserting identical verdicts at every step.
+    /// Checker, asserting identical verdicts at every step.
     fn differential(
         constraint: &SFormula,
         window: Window,
@@ -454,7 +433,7 @@ mod tests {
             window.clone(),
         )
         .unwrap();
-        let full = WindowedChecker::new(constraint.clone(), window).unwrap();
+        let full = Checker::new("full", constraint.clone(), window).unwrap();
         let mut history = History::new(schema, db);
         let env = Env::new();
         for (label, tx) in steps {

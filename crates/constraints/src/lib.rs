@@ -9,16 +9,17 @@
 //! * [`checkability`] computes the history window a database system must
 //!   maintain, combining syntax with declared domain facts ([`Hints`] —
 //!   the paper's transitivity arguments);
-//! * [`History`] and [`WindowedChecker`] enforce a constraint over a
-//!   linear history with bounded state retention, and
-//!   [`find_window_unsoundness`] refutes windows that are too small;
+//! * [`Checker`] is the one constraint checker: a formula with its
+//!   window and read-set, deciding any window of states in its partial
+//!   model. It enforces a constraint over a recorded [`History`] with
+//!   bounded state retention ([`find_window_unsoundness`] refutes
+//!   windows that are too small), validates commits for the concurrent
+//!   session layer ([`txlog_engine::Database`]), and consults a
+//!   [`VerifiedRegistry`] of proofs before building any model;
 //! * [`read_set()`](read_set()) over-approximates the relations a
 //!   constraint's verdict can depend on, and [`IncrementalChecker`]
 //!   uses it (with delta-maintained content fingerprints) to reuse
 //!   verdicts across steps that the constraint cannot observe;
-//! * [`SessionConstraint`] packages a constraint (window + read-set)
-//!   for commit-time validation by the concurrent session layer
-//!   ([`txlog_engine::Database`]);
 //! * [`NeverReinsertEncoding`] implements Example 4's FIRE encoding,
 //!   converting an uncheckable dynamic constraint into a static one by
 //!   auditing deletions;
@@ -38,9 +39,8 @@ pub mod reactive;
 pub mod readset;
 pub mod window;
 
-pub use assisted::{certify, AssistStats, AssistedChecker, VerifiedRegistry};
+pub use assisted::{certify, Assisted, VerifiedRegistry};
 pub use classify::{classify, state_shape, ConstraintClass, StateShape};
-pub use commit::SessionConstraint;
 pub use complexity::{class_cmp, measure_with_class, profile, Complexity, Profile};
 pub use encoding::NeverReinsertEncoding;
 pub use incremental::counters;
@@ -48,5 +48,5 @@ pub use incremental::IncrementalChecker;
 pub use reactive::ReactiveEncoding;
 pub use readset::{read_set, ReadSet};
 pub use window::{
-    checkability, find_window_unsoundness, Hints, History, HistoryOutcome, Window, WindowedChecker,
+    checkability, find_window_unsoundness, Checker, Hints, History, HistoryOutcome, Window,
 };

@@ -25,8 +25,7 @@ use txlog_events::{PTerm, Pattern, PatternDef};
 use txlog_logic::{FTerm, SFormula, STerm, Var};
 use txlog_relational::Schema;
 
-use crate::commit::SessionConstraint;
-use crate::window::Hints;
+use crate::window::{Checker, Hints};
 
 /// The FIRE-style encoding compiled to an event pattern: deletions from
 /// `relation` are materialized (by key) into the system relation
@@ -137,8 +136,8 @@ impl ReactiveEncoding {
 
     /// The static constraint packaged for commit-time validation
     /// (window 1, so sessions may stay at read-committed).
-    pub fn session_constraint(&self, name: &str) -> TxResult<SessionConstraint> {
-        SessionConstraint::new(name, self.static_constraint(), Hints::default())
+    pub fn session_constraint(&self, name: &str) -> TxResult<Checker> {
+        Checker::for_session(name, self.static_constraint(), Hints::default())
     }
 }
 

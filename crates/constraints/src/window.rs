@@ -12,8 +12,12 @@
 //!
 //! This module provides both halves of that story:
 //!
-//! * [`History`] + [`WindowedChecker`] — enforce a constraint while
-//!   maintaining only the last `k` states (the *partial model*);
+//! * [`History`] + [`Checker`] — enforce a constraint while maintaining
+//!   only the last `k` states (the *partial model*). `model_of` is the
+//!   one routine that turns a window of states into that model and
+//!   [`Checker::check_window`] the one place a formula meets it: the
+//!   commit path, [`Checker::check_now`] and [`Checker::replay`] all
+//!   arrive there over borrowed states;
 //! * [`checkability`] — a conservative analysis combining the syntactic
 //!   class with caller-supplied domain [`Hints`] (the paper's
 //!   transitivity arguments are domain facts, not syntax);
@@ -23,9 +27,10 @@
 //!   small. Soundness of a *claimed* window is thereby refutable.
 
 use crate::classify::{classify, ConstraintClass};
+use crate::readset::{read_set, ReadSet};
 use txlog_base::obs::{Hist, Metrics};
 use txlog_base::{TxError, TxResult};
-use txlog_engine::{Env, EvalOptions, Model};
+use txlog_engine::{Env, Model};
 use txlog_logic::{FTerm, SFormula};
 use txlog_relational::{DbState, EvolutionGraph, Schema, TxLabel};
 
@@ -118,6 +123,46 @@ pub fn checkability(f: &SFormula, hints: Hints) -> Window {
     }
 }
 
+/// The *partial model* of a window: `states` oldest first, `labels[i]`
+/// naming the transaction that produced `states[i + 1]`. The only code
+/// that turns states and labels into an evolution graph.
+fn model_of<L: AsRef<str>>(schema: &Schema, states: &[DbState], labels: &[L]) -> TxResult<Model> {
+    let (s, l) = (states.len(), labels.len());
+    if l + 1 != s {
+        return Err(TxError::eval(format!(
+            "a window of {s} state(s) has one label per transition, not {l}"
+        )));
+    }
+    let mut graph = EvolutionGraph::new();
+    let mut prev = graph.add_state(states[0].clone());
+    for (i, (state, label)) in states[1..].iter().zip(labels).enumerate() {
+        let label = label.as_ref();
+        let id = graph.add_state(state.clone());
+        let arc = graph.add_arc(prev, TxLabel::new(label), id);
+        // A no-op step (content-deduped to its own pre-state) records
+        // an identity-like arc under its label if it can. Otherwise a
+        // repeated label leading to two different successors (an
+        // up/down cycle stepped with the same label twice) means the
+        // window has no deterministic evolution graph: a reportable
+        // property of the input, not a panic.
+        if prev != id {
+            arc.map_err(|e| {
+                TxError::eval(format!(
+                    "window step {} ({label}) cannot be modeled: {e}",
+                    i + 1
+                ))
+            })?;
+        }
+        prev = id;
+    }
+    // No Λ self-loops here: history models record *proper* executed
+    // transactions. Including the null transaction would trivially
+    // falsify ≠-style constraints (salary(s:e) ≠ salary(s;Λ:e) is
+    // never true), which is plainly not the paper's reading.
+    graph.transitive_close();
+    Ok(Model::new(schema.clone(), graph))
+}
+
 /// A recorded linear history of database states connected by transactions.
 #[derive(Clone)]
 pub struct History {
@@ -191,56 +236,28 @@ impl History {
     /// system with window `k` maintains.
     pub fn window_model(&self, k: usize) -> TxResult<Model> {
         let start = self.states.len().saturating_sub(k.max(1));
-        self.model_of_range(start, self.states.len())
+        model_of(&self.schema, &self.states[start..], &self.labels[start..])
     }
 
     /// Build the complete model of the history.
     pub fn full_model(&self) -> TxResult<Model> {
-        self.model_of_range(0, self.states.len())
-    }
-
-    fn model_of_range(&self, start: usize, end: usize) -> TxResult<Model> {
-        let mut graph = EvolutionGraph::new();
-        let mut prev = None;
-        for i in start..end {
-            let id = graph.add_state(self.states[i].clone());
-            if let Some(prev_id) = prev {
-                if prev_id != id {
-                    let label = TxLabel::new(&self.labels[i - 1]);
-                    // Content-deduped states can make a repeated label
-                    // lead to two different successors (an up/down cycle
-                    // stepped with the same label twice): that history
-                    // has no deterministic evolution graph, which is a
-                    // reportable property of the input, not a panic.
-                    graph.add_arc(prev_id, label, id).map_err(|e| {
-                        TxError::eval(format!(
-                            "history step {i} ({}) cannot be modeled: {e}",
-                            self.labels[i - 1]
-                        ))
-                    })?;
-                } else {
-                    // a no-op step: record the arc as an identity-like
-                    // transition under its own label
-                    let label = TxLabel::new(&self.labels[i - 1]);
-                    let _ = graph.add_arc(prev_id, label, id);
-                }
-            }
-            prev = Some(id);
-        }
-        // No Λ self-loops here: history models record *proper* executed
-        // transactions. Including the null transaction would trivially
-        // falsify ≠-style constraints (salary(s:e) ≠ salary(s;Λ:e) is
-        // never true), which is plainly not the paper's reading.
-        graph.transitive_close();
-        Ok(Model::new(self.schema.clone(), graph).with_options(EvalOptions::default()))
+        model_of(&self.schema, &self.states, &self.labels)
     }
 }
 
-/// Incremental enforcement of one constraint with a `k`-state window.
+/// One declared constraint with the two static analyses enforcement
+/// needs: how many consecutive states a check must see (the paper's
+/// Section 3 window) and the [`ReadSet`] its verdict can depend on.
+/// Stateless: the same value checks a recorded [`History`], backs an
+/// [`IncrementalChecker`](crate::IncrementalChecker), and validates
+/// commits as a [`CommitConstraint`](txlog_engine::CommitConstraint).
 #[derive(Clone)]
-pub struct WindowedChecker {
-    constraint: SFormula,
-    window: usize,
+pub struct Checker {
+    name: String,
+    formula: SFormula,
+    /// States a check sees; `usize::MAX` for the complete history.
+    pub(crate) window: usize,
+    readset: ReadSet,
 }
 
 /// Outcome of checking a whole history.
@@ -252,9 +269,12 @@ pub struct HistoryOutcome {
     pub global: bool,
 }
 
-impl WindowedChecker {
-    /// A checker for `constraint` maintaining `window` states.
-    pub fn new(constraint: SFormula, window: Window) -> TxResult<WindowedChecker> {
+impl Checker {
+    /// A checker for `formula` maintaining `window` states, named
+    /// `name` in commit errors and [`VerifiedRegistry`] lookups.
+    ///
+    /// [`VerifiedRegistry`]: crate::VerifiedRegistry
+    pub fn new(name: impl Into<String>, formula: SFormula, window: Window) -> TxResult<Checker> {
         let window = match window {
             Window::States(k) if k >= 1 => k,
             Window::States(_) => {
@@ -267,43 +287,57 @@ impl WindowedChecker {
                 )))
             }
         };
-        Ok(WindowedChecker { constraint, window })
+        Ok(Checker {
+            name: name.into(),
+            readset: read_set(&formula),
+            formula,
+            window,
+        })
     }
 
-    /// The constraint being enforced.
-    pub fn constraint(&self) -> &SFormula {
-        &self.constraint
+    /// The constraint's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The relations the verdict can depend on: what commit-time
+    /// skipping and verdict reuse are keyed on.
+    pub fn read_set(&self) -> &ReadSet {
+        &self.readset
+    }
+
+    /// Decide the constraint in the partial model of one window:
+    /// `states` oldest first, `labels[i]` the transaction that produced
+    /// `states[i + 1]`. Every other entry point ends here.
+    pub fn check_window<L: AsRef<str>>(
+        &self,
+        schema: &Schema,
+        states: &[DbState],
+        labels: &[L],
+    ) -> TxResult<bool> {
+        model_of(schema, states, labels)?.check(&self.formula)
+    }
+
+    /// Check the window ending at `history`'s state number `end`.
+    fn check_prefix(&self, history: &History, end: usize) -> TxResult<bool> {
+        let _span = Metrics::current().span("window_check");
+        let start = end.saturating_sub(self.window);
+        let (states, labels) = (&history.states[start..end], &history.labels[start..end - 1]);
+        self.check_window(&history.schema, states, labels)
     }
 
     /// Check the window model at the history's current end.
     pub fn check_now(&self, history: &History) -> TxResult<bool> {
-        let metrics = Metrics::current();
-        let _span = metrics.span("window_check");
-        let model = if self.window == usize::MAX {
-            history.full_model()?
-        } else {
-            history.window_model(self.window)?
-        };
-        model.check(&self.constraint)
+        self.check_prefix(history, history.len())
     }
 
     /// Replay an entire history: window verdicts after every step plus
     /// the global verdict on the complete model.
     pub fn replay(&self, history: &History) -> TxResult<HistoryOutcome> {
-        let mut per_step = Vec::with_capacity(history.len());
-        for end in 1..=history.len() {
-            let mut prefix = History {
-                schema: history.schema.clone(),
-                states: history.states[..end].to_vec(),
-                labels: history.labels[..end.saturating_sub(1)].to_vec(),
-            };
-            // normalize: History::new guarantees non-empty, replay keeps it
-            if prefix.states.is_empty() {
-                prefix.states.push(history.states[0].clone());
-            }
-            per_step.push(self.check_now(&prefix)?);
-        }
-        let global = history.full_model()?.check(&self.constraint)?;
+        let per_step = (1..=history.len())
+            .map(|end| self.check_prefix(history, end))
+            .collect::<TxResult<_>>()?;
+        let global = self.check_window(&history.schema, &history.states, &history.labels)?;
         Ok(HistoryOutcome { per_step, global })
     }
 }
@@ -317,7 +351,7 @@ pub fn find_window_unsoundness(
     k: usize,
     history: &History,
 ) -> TxResult<Option<usize>> {
-    let checker = WindowedChecker::new(constraint.clone(), Window::States(k))?;
+    let checker = Checker::new("candidate-window", constraint.clone(), Window::States(k))?;
     let outcome = checker.replay(history)?;
     if outcome.per_step.iter().all(|&ok| ok) && !outcome.global {
         Ok(Some(history.len()))
@@ -422,7 +456,7 @@ mod tests {
         .unwrap();
         history.step("raise", &raise, &Env::new()).unwrap();
         history.step("raise", &raise, &Env::new()).unwrap();
-        let checker = WindowedChecker::new(f, Window::States(2)).unwrap();
+        let checker = Checker::new("c", f, Window::States(2)).unwrap();
         let outcome = checker.replay(&history).unwrap();
         assert!(outcome.per_step.iter().all(|&b| b));
         assert!(outcome.global);
@@ -446,7 +480,7 @@ mod tests {
         )
         .unwrap();
         history.step("cut", &cut, &Env::new()).unwrap();
-        let checker = WindowedChecker::new(f, Window::States(2)).unwrap();
+        let checker = Checker::new("c", f, Window::States(2)).unwrap();
         let outcome = checker.replay(&history).unwrap();
         assert!(!outcome.per_step[1]);
         assert!(!outcome.global);
@@ -511,7 +545,7 @@ mod tests {
         .unwrap();
         history.step("up", &up, &Env::new()).unwrap();
         history.step("down", &down, &Env::new()).unwrap();
-        let checker = WindowedChecker::new(f, Window::Complete).unwrap();
+        let checker = Checker::new("c", f, Window::Complete).unwrap();
         let outcome = checker.replay(&history).unwrap();
         assert!(!outcome.per_step[2]);
         assert!(!outcome.global);
@@ -520,6 +554,6 @@ mod tests {
     #[test]
     fn not_checkable_rejected_by_checker() {
         let f = SFormula::True;
-        assert!(WindowedChecker::new(f, Window::NotCheckable("reason".into())).is_err());
+        assert!(Checker::new("c", f, Window::NotCheckable("reason".into())).is_err());
     }
 }

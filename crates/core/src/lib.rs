@@ -70,9 +70,8 @@ pub mod prelude {
     pub use txlog_base::obs::{Counter, Hist, HistValue, Metrics, Snapshot, SpanValue};
     pub use txlog_base::{Atom, RelId, StateId, Symbol, TupleId, TxError, TxResult};
     pub use txlog_constraints::{
-        checkability, classify, read_set, ConstraintClass, Hints, History, IncrementalChecker,
-        NeverReinsertEncoding, ReactiveEncoding, ReadSet, SessionConstraint, Window,
-        WindowedChecker,
+        checkability, classify, read_set, Checker, ConstraintClass, Hints, History,
+        IncrementalChecker, NeverReinsertEncoding, ReactiveEncoding, ReadSet, Window,
     };
     pub use txlog_engine::{
         check_program, Binding, Commit, CommitConstraint, CommitError, Database, DatabaseBuilder,

@@ -7,7 +7,7 @@
 
 use crate::schema::{employee_schema, parse_ctx};
 use txlog_base::TxResult;
-use txlog_constraints::{Hints, IncrementalChecker, ReactiveEncoding, SessionConstraint, Window};
+use txlog_constraints::{Checker, Hints, IncrementalChecker, ReactiveEncoding, Window};
 use txlog_events::PatternDef;
 use txlog_logic::{parse_sformula, SFormula};
 use txlog_relational::DbState;
@@ -259,7 +259,7 @@ pub fn fired_pattern() -> PatternDef {
 /// (window 1, static), packaged for commit-time validation. Register it
 /// together with [`fired_pattern`]; see
 /// [`ic4_never_rehire`] for the dynamic original.
-pub fn ic4_fired_session() -> TxResult<SessionConstraint> {
+pub fn ic4_fired_session() -> TxResult<Checker> {
     fired_encoding().session_constraint("never-rehire")
 }
 
@@ -327,12 +327,12 @@ pub fn example1_incremental(initial: DbState) -> TxResult<Vec<(&'static str, Inc
 /// Example 1 static constraint (window 1) plus Example 3's skill
 /// retention (window 2, sound by transitivity of `⊆`). Register each
 /// with [`Database::add_constraint`](txlog_engine::Database::add_constraint).
-pub fn session_constraints() -> TxResult<Vec<SessionConstraint>> {
+pub fn session_constraints() -> TxResult<Vec<Checker>> {
     let mut out = Vec::new();
     for (name, ic) in example1_all() {
-        out.push(SessionConstraint::new(name, ic, Hints::default())?);
+        out.push(Checker::for_session(name, ic, Hints::default())?);
     }
-    out.push(SessionConstraint::new(
+    out.push(Checker::for_session(
         "skill-retention",
         ic3_skill_retention(),
         ic3_skill_hints(),
@@ -494,9 +494,9 @@ mod tests {
         // the cache.
         for (name, chk) in &checkers {
             assert!(
-                !chk.read_set().is_all(),
+                !chk.checker().read_set().is_all(),
                 "{name}: read-set should be precise, got {}",
-                chk.read_set()
+                chk.checker().read_set()
             );
             let reused = chk.metrics().get(txlog_constraints::counters::REUSED);
             assert!(reused >= 1, "{name}: reused = {reused}");

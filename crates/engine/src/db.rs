@@ -70,13 +70,12 @@ pub use options::{IsolationLevel, RetryPolicy, SessionOptions};
 pub use session::{Commit, Prepared, Session};
 
 use crate::events::{EventCallback, EventHub, SubId};
-use crate::exec::{Engine, EvalOptions};
+use crate::exec::{Engine, EvalOptions, SchemaTables};
 use crate::group::{GroupCommitter, WriterOp};
 use crate::sim::{ProtocolBug, StepHook, StepPoint};
-use crate::wal::{Durability, RecoveryReport, Wal, WalError};
+use crate::wal::Wal;
 use head::Head;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -89,9 +88,8 @@ use txlog_relational::{DbState, Delta, Schema};
 ///
 /// The engine crate cannot name the constraints crate (the dependency
 /// points the other way), so the commit pipeline validates through this
-/// trait; `txlog_constraints::SessionConstraint` is the standard
-/// implementation, wrapping an s-formula with its checkability window
-/// and read set.
+/// trait; `txlog_constraints::Checker` is the standard implementation,
+/// an s-formula with its checkability window and read set.
 pub trait CommitConstraint: Send + Sync {
     /// Diagnostic name, used in [`CommitError::ConstraintViolation`].
     fn name(&self) -> &str;
@@ -134,6 +132,10 @@ enum CommitKind {
 /// not `Clone` — clones would be independent databases.
 pub struct Database {
     schema: Schema,
+    /// The engine tables of `schema`, built (and the schema thereby
+    /// validated) once at assembly; [`Database::engine`] hands out
+    /// views of them.
+    tables: Arc<SchemaTables>,
     opts: EvalOptions,
     metrics: Metrics,
     /// Default retry policy for sessions that do not set their own
@@ -203,21 +205,6 @@ impl Database {
     /// patterns, durability.
     pub fn builder(schema: Schema) -> DatabaseBuilder {
         DatabaseBuilder::new(schema)
-    }
-
-    /// Open (or create) a durable database whose write-ahead log lives at
-    /// `path`, with default WAL settings ([`Durability::wal`]). An
-    /// existing log is recovered: any torn tail is truncated back to the
-    /// last valid record, the latest checkpoint is loaded, and the delta
-    /// suffix is replayed. A missing or empty log initializes afresh from
-    /// the schema's initial state.
-    pub fn recover(
-        schema: Schema,
-        path: impl AsRef<Path>,
-    ) -> Result<(Database, RecoveryReport), WalError> {
-        Database::builder(schema)
-            .durability(Durability::wal())
-            .open_path(path)
     }
 
     /// Lock the head — the one way to reach it. A poisoned lock is
@@ -449,10 +436,8 @@ impl Database {
     /// side: evaluate queries against any [`Database::snapshot`] without
     /// touching the head lock again.
     pub fn engine(&self) -> TxResult<Engine<'_>> {
-        Engine::builder(&self.schema)
-            .options(self.opts)
-            .metrics(self.metrics.clone())
-            .build()
+        let (tables, metrics) = (Arc::clone(&self.tables), self.metrics.clone());
+        Ok(Engine::view(&self.schema, tables, self.opts, metrics))
     }
 
     /// An `Arc` share of the committed head state. Readers hold it as

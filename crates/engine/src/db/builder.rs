@@ -284,12 +284,15 @@ impl DatabaseBuilder {
         log: Option<(Wal, u64, u64)>,
         replayed: Vec<(u64, Delta)>,
     ) -> Result<Database, WalError> {
-        // surface schema problems at construction, not first commit
-        Engine::builder(&self.schema).build()?;
+        let metrics = self.metrics.unwrap_or_else(Metrics::current);
+        // surfaces schema problems at construction, not first commit
+        let builder = Engine::builder(&self.schema).metrics(metrics.clone());
+        let tables = builder.build()?.tables;
         let mut db = Database {
             schema: self.schema,
+            tables,
             opts: self.opts,
-            metrics: self.metrics.unwrap_or_else(Metrics::current),
+            metrics,
             retry: self.retry,
             default_isolation: self.default_isolation,
             constraints: Vec::new(),

@@ -105,16 +105,6 @@ impl Footprint {
         self.reads.is_none() || self.writes.is_none()
     }
 
-    /// The bounded read set, if the analysis produced one.
-    pub fn reads(&self) -> Option<&BTreeSet<Symbol>> {
-        self.reads.as_ref()
-    }
-
-    /// The bounded write set, if the analysis produced one.
-    pub fn writes(&self) -> Option<&BTreeSet<Symbol>> {
-        self.writes.as_ref()
-    }
-
     /// The bounded relation set — the union of reads and writes — if
     /// the analysis produced one.
     pub fn rels(&self) -> Option<BTreeSet<Symbol>> {

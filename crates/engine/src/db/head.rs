@@ -58,7 +58,10 @@ impl Head {
     /// A constraint's view of recent history: the last `prior` retained
     /// states (fewer near the start of history), oldest first, with the
     /// labels of the commits between them, optionally closed by a
-    /// candidate state and the label of the commit proposing it.
+    /// candidate state and the label of the commit proposing it. Always
+    /// one label fewer than states: a label belongs to the window only
+    /// if its pre-state does, so a window of the candidate alone
+    /// (`prior == 0`) carries none.
     pub(super) fn window<'a>(
         &'a self,
         prior: usize,
@@ -79,8 +82,10 @@ impl Head {
             .map(String::as_str)
             .collect();
         if let Some((state, label)) = closing {
+            if !states.is_empty() {
+                labels.push(label);
+            }
             states.push(state.clone());
-            labels.push(label);
         }
         (states, labels)
     }

@@ -1,6 +1,6 @@
 use super::*;
 use crate::env::Env;
-use crate::wal::{LogStore, MemStore};
+use crate::wal::{Durability, LogStore, MemStore, WalError};
 use txlog_events::PatternDef;
 use txlog_logic::{parse_fterm, FTerm, ParseCtx};
 
@@ -867,37 +867,57 @@ fn windowed_constraint_escalates_read_committed() {
     assert_eq!(m.get(Counter::SessionsReadCommitted), 0);
 }
 
+/// What a constraint is shown at every check: `window_states` trailing
+/// states at most, one label per transition between them — none for a
+/// window of the candidate alone, whose pre-state is not in view — and
+/// the session's configured prefix on each label.
 #[test]
 fn label_prefix_applies_to_commit_labels() {
     use std::sync::Mutex;
-    #[derive(Default)]
-    struct LabelSpy(Mutex<Vec<String>>);
-    impl CommitConstraint for &'static LabelSpy {
+    /// Always affected, never violated; records `(states, labels)` of
+    /// every window it is shown.
+    struct WindowSpy(usize, Mutex<Vec<(usize, Vec<String>)>>);
+    impl CommitConstraint for Arc<WindowSpy> {
         fn name(&self) -> &str {
-            "label-spy"
+            "window-spy"
         }
         fn window_states(&self) -> usize {
-            1
+            self.0
         }
         fn affected_by(&self, _: &Schema, _: &Delta) -> bool {
             true
         }
-        fn check(&self, _: &Schema, _: &[DbState], labels: &[&str]) -> TxResult<bool> {
-            let mut seen = self.0.lock().unwrap();
-            seen.extend(labels.iter().map(|l| l.to_string()));
+        fn check(&self, _: &Schema, states: &[DbState], labels: &[&str]) -> TxResult<bool> {
+            let labels = labels.iter().map(|l| l.to_string()).collect();
+            self.1.lock().unwrap().push((states.len(), labels));
             Ok(true)
         }
     }
-    static SPY: LabelSpy = LabelSpy(Mutex::new(Vec::new()));
-    let mut db = Database::new(schema()).unwrap();
-    db.add_constraint(Box::new(&SPY)).unwrap();
-    let mut s = db.session_with(SessionOptions::new().label_prefix("job-7/"));
-    s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
-        .unwrap();
-    assert!(
-        SPY.0.lock().unwrap().iter().any(|l| l == "job-7/hire"),
-        "the configured prefix lands on the validated label"
-    );
+    for k in 1..=3 {
+        let spy = Arc::new(WindowSpy(k, Mutex::new(Vec::new())));
+        let mut db = Database::new(schema()).unwrap();
+        db.add_constraint(Box::new(Arc::clone(&spy))).unwrap();
+        let mut s = db.session_with(SessionOptions::new().label_prefix("job-7/"));
+        let committed: Vec<String> = (1..=4).map(|i| format!("job-7/hire-{i}")).collect();
+        for i in 1..=4 {
+            let hire = tx(&format!("insert(tuple('emp-{i}', 500), EMP)"));
+            s.commit(&format!("hire-{i}"), &hire, &Env::new()).unwrap();
+        }
+        // the base check at registration, then one check per commit: at
+        // history start the window is still filling, by the last commit
+        // it is full for every k
+        let seen = spy.1.lock().unwrap();
+        assert_eq!(seen.len(), 5, "window {k}");
+        assert_eq!(seen[0], (1, Vec::new()), "window {k}: base check");
+        for (i, (states, labels)) in seen.iter().enumerate().skip(1) {
+            assert_eq!(*states, k.min(i + 1), "window {k}, commit {i}");
+            assert_eq!(
+                labels[..],
+                committed[i + 1 - states..i],
+                "window {k}, commit {i}"
+            );
+        }
+    }
 }
 
 /// Always affected, never violated; panics on its second check (the

@@ -28,6 +28,7 @@
 use crate::env::{Binding, Env};
 use crate::value::{SetVal, Value};
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use txlog_base::obs::{Counter, Hist, Metrics};
 use txlog_base::{Atom, Symbol, TxError, TxResult};
 use txlog_logic::plan::{find_membership_rel, GuardMode};
@@ -109,6 +110,8 @@ impl<'a> EngineBuilder<'a> {
     /// violates the global attribute-name uniqueness the paper's `l(t)`
     /// sugar presumes.
     pub fn build(self) -> TxResult<Engine<'a>> {
+        let metrics = self.metrics.unwrap_or_else(Metrics::current);
+        metrics.bump(Counter::EngineBuilds);
         let mut attrs = HashMap::new();
         let mut owners: HashMap<Symbol, Symbol> = HashMap::new();
         let mut sig = Signature::new();
@@ -126,13 +129,45 @@ impl<'a> EngineBuilder<'a> {
             let attr_names: Vec<&str> = d.attrs.iter().map(|a| a.as_str()).collect();
             sig = sig.relation(d.name.as_str(), &attr_names);
         }
-        Ok(Engine {
-            schema: self.schema,
-            opts: self.opts,
-            attrs,
-            sig,
-            metrics: self.metrics.unwrap_or_else(Metrics::current),
-        })
+        let tables = Arc::new(SchemaTables { attrs, sig });
+        Ok(Engine::view(self.schema, tables, self.opts, metrics))
+    }
+}
+
+/// What an [`Engine`] derives from its [`Schema`]. A pure function of
+/// the schema, so [`EngineBuilder::build`] computes it once and every
+/// further engine over the same schema is an O(1) [`Engine::view`] of it.
+pub(crate) struct SchemaTables {
+    /// attribute name → (relation arity, 1-based index); names must be
+    /// globally unique, as the paper's `l(t)` sugar presumes.
+    attrs: HashMap<Symbol, (usize, usize)>,
+    /// The schema as a sort-checking signature, reused by the planner
+    /// and for deriving empty set-former arities.
+    pub(crate) sig: Signature,
+}
+
+/// [`SchemaTables`] built on first use and kept, for owners of a schema
+/// whose constructor is infallible ([`Model`](crate::Model),
+/// [`ModelBuilder`](crate::ModelBuilder)): an invalid schema fails every
+/// evaluation with the error [`EngineBuilder::build`] gave the first.
+#[derive(Default)]
+pub(crate) struct LazyTables(OnceLock<TxResult<Arc<SchemaTables>>>);
+
+impl LazyTables {
+    /// An engine over `schema` — which must be the same schema on every
+    /// call — building the tables if this is the first.
+    pub(crate) fn engine<'a>(
+        &self,
+        schema: &'a Schema,
+        opts: EvalOptions,
+        metrics: Metrics,
+    ) -> TxResult<Engine<'a>> {
+        let built = self.0.get_or_init(|| {
+            let engine = Engine::builder(schema).metrics(metrics.clone()).build()?;
+            Ok(engine.tables)
+        });
+        let tables = Arc::clone(built.as_ref().map_err(TxError::clone)?);
+        Ok(Engine::view(schema, tables, opts, metrics))
     }
 }
 
@@ -150,12 +185,7 @@ pub struct Execution {
 pub struct Engine<'a> {
     pub(crate) schema: &'a Schema,
     pub(crate) opts: EvalOptions,
-    /// attribute name → (relation arity, 1-based index); names must be
-    /// globally unique, as the paper's `l(t)` sugar presumes.
-    pub(crate) attrs: HashMap<Symbol, (usize, usize)>,
-    /// The schema as a sort-checking signature, reused by the planner
-    /// and for deriving empty set-former arities.
-    pub(crate) sig: Signature,
+    pub(crate) tables: Arc<SchemaTables>,
     /// Observability sink; disabled (one branch per event) unless a
     /// recorder was installed globally or threaded in explicitly.
     pub(crate) metrics: Metrics,
@@ -173,6 +203,22 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// An engine over tables some [`EngineBuilder::build`] of the same
+    /// schema already validated and computed.
+    pub(crate) fn view(
+        schema: &'a Schema,
+        tables: Arc<SchemaTables>,
+        opts: EvalOptions,
+        metrics: Metrics,
+    ) -> Engine<'a> {
+        Engine {
+            schema,
+            opts,
+            tables,
+            metrics,
+        }
+    }
+
     /// The observability sink this engine reports into.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -183,8 +229,8 @@ impl<'a> Engine<'a> {
         self.schema
     }
 
-    fn attr(&self, name: Symbol) -> TxResult<(usize, usize)> {
-        self.attrs.get(&name).copied().ok_or_else(|| {
+    pub(crate) fn attr(&self, name: Symbol) -> TxResult<(usize, usize)> {
+        self.tables.attrs.get(&name).copied().ok_or_else(|| {
             TxError::schema(format!("unknown attribute {name} (not in any relation)"))
         })
     }
@@ -346,7 +392,7 @@ impl<'a> Engine<'a> {
             Some(m) => m.arity(),
             // An empty one must derive it from the head's *sort* — a
             // guess would silently type the set wrong.
-            None => match txlog_logic::sort_of_fterm(&self.sig, head) {
+            None => match txlog_logic::sort_of_fterm(&self.tables.sig, head) {
                 Ok(Sort::Obj(ObjSort::Atom)) => 1,
                 Ok(Sort::Obj(ObjSort::Tup(n))) => n,
                 Ok(other) => {

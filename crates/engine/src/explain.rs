@@ -251,7 +251,7 @@ impl Engine<'_> {
         cond: &FFormula,
         mode: GuardMode,
     ) -> ExplainNode {
-        let plan = plan_quantifiers(&self.sig, vars, cond, mode);
+        let plan = plan_quantifiers(&self.tables.sig, vars, cond, mode);
         let steps = plan
             .steps
             .iter()

@@ -183,6 +183,64 @@ mod tests {
         assert!(model.check(&f).unwrap());
     }
 
+    /// The structural property `engine_builds` pins: an owner of a
+    /// schema validates it and builds the engine tables once, however
+    /// many formula leaves or statements it then evaluates.
+    #[test]
+    fn engines_are_built_once_per_model_and_database() {
+        use txlog_base::obs::{Counter, Metrics};
+        use txlog_relational::{EvolutionGraph, TxLabel};
+        let schema = schema();
+        let emp = schema.rel_id("EMP").unwrap();
+        let mut db = schema.initial_state();
+        for i in 0..8 {
+            let fields = [Atom::str(&format!("emp-{i}")), Atom::nat(100 + i)];
+            db = db.insert_fields(emp, &fields).unwrap().0;
+        }
+        let raise = parse_fterm(
+            "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end",
+            &ctx(),
+            &[],
+        )
+        .unwrap();
+        let engine = Engine::builder(&schema).build().unwrap();
+        let raised = engine.execute(&db, &raise, &Env::new()).unwrap();
+        let mut graph = EvolutionGraph::new();
+        let (s0, s1) = (graph.add_state(db), graph.add_state(raised));
+        graph.add_arc(s0, TxLabel::new("raise"), s1).unwrap();
+        let monotone = parse_sformula(
+            "forall s: state, t: tx, e: 2tup .
+               (s:e in s:EMP & (s;t):e in (s;t):EMP)
+                 -> salary(s:e) <= salary((s;t):e)",
+            &ctx(),
+        )
+        .unwrap();
+
+        let m = Metrics::enabled();
+        let model = Model::new(schema.clone(), graph).with_metrics(m.clone());
+        assert_eq!(m.get(Counter::EngineBuilds), 0, "Model::new builds nothing");
+        assert!(model.check(&monotone).unwrap());
+        assert_eq!(m.get(Counter::EngineBuilds), 1, "one build for every leaf");
+        assert!(model.check(&monotone).unwrap());
+        assert_eq!(m.get(Counter::EngineBuilds), 1, "and the model keeps it");
+
+        let m = Metrics::enabled();
+        let db = Database::builder(schema)
+            .metrics(m.clone())
+            .build()
+            .unwrap();
+        assert_eq!(
+            m.get(Counter::EngineBuilds),
+            1,
+            "assembly validates the schema"
+        );
+        for _ in 0..100 {
+            db.engine().unwrap();
+        }
+        db.session().commit("raise", &raise, &Env::new()).unwrap();
+        assert_eq!(m.get(Counter::EngineBuilds), 1, "engines are views of it");
+    }
+
     #[test]
     fn program_check_rejects_unknown_relation() {
         let schema = schema();

@@ -23,7 +23,7 @@
 //! `… → s;t :: φ` is vacuously satisfied at arcs that do not exist.
 
 use crate::env::{Binding, Env};
-use crate::exec::{cmp_values, Engine, EvalOptions};
+use crate::exec::{cmp_values, Engine, EvalOptions, LazyTables};
 use crate::value::{SetVal, StateVal, Value};
 use txlog_base::obs::{Counter, Metrics};
 use txlog_base::{Atom, TxError, TxResult};
@@ -32,12 +32,13 @@ use txlog_relational::{DbState, EvolutionGraph, Schema, TupleVal, TxLabel};
 
 /// A finite model: an evolution graph over a schema.
 pub struct Model {
-    /// The schema (relation declarations).
-    pub schema: Schema,
+    /// Read-only once wrapped: `tables` is derived from it.
+    schema: Schema,
     /// The graph of states and transaction arcs.
     pub graph: EvolutionGraph,
     opts: EvalOptions,
     metrics: Metrics,
+    tables: LazyTables,
 }
 
 impl Model {
@@ -48,7 +49,13 @@ impl Model {
             graph,
             opts: EvalOptions::default(),
             metrics: Metrics::current(),
+            tables: LazyTables::default(),
         }
+    }
+
+    /// The schema (relation declarations).
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     /// Set evaluation options (forwarded to the fluent evaluator).
@@ -63,11 +70,13 @@ impl Model {
         self
     }
 
-    fn engine(&self) -> TxResult<Engine<'_>> {
-        Engine::builder(&self.schema)
-            .options(self.opts)
-            .metrics(self.metrics.clone())
-            .build()
+    /// The fluent evaluator over this model's schema, options and
+    /// metrics. The first call validates the schema and builds the
+    /// engine's tables; the model keeps them, so every later call —
+    /// one per formula leaf evaluated — is O(1).
+    pub fn engine(&self) -> TxResult<Engine<'_>> {
+        self.tables
+            .engine(&self.schema, self.opts, self.metrics.clone())
     }
 
     /// Decide a closed s-formula in this model.
@@ -204,7 +213,7 @@ impl Model {
             }
             STerm::Attr(name, inner) => {
                 let tuple = self.eval_sterm(inner, env)?.into_tuple()?;
-                let (arity, ix) = self.attr_of(*name)?;
+                let (arity, ix) = self.engine()?.attr(*name)?;
                 if tuple.arity() != arity {
                     return Err(TxError::sort(format!(
                         "attribute {name} belongs to {arity}-ary tuples, got arity {}",
@@ -285,7 +294,7 @@ impl Model {
                     Some(m) => m.arity(),
                     // An empty comprehension's arity comes from the
                     // head's sort, never from a guess.
-                    None => match txlog_logic::sort_of_sterm(&self.engine()?.sig, head) {
+                    None => match txlog_logic::sort_of_sterm(&self.engine()?.tables.sig, head) {
                         Ok(Sort::Obj(ObjSort::Atom)) => 1,
                         Ok(Sort::Obj(ObjSort::Tup(n))) => n,
                         Ok(other) => {
@@ -313,15 +322,6 @@ impl Model {
                 "user s-function {name}' has no evaluation rule registered"
             ))),
         }
-    }
-
-    fn attr_of(&self, name: txlog_base::Symbol) -> TxResult<(usize, usize)> {
-        for d in self.schema.decls() {
-            if let Some(p) = d.attrs.iter().position(|&a| a == name) {
-                return Ok((d.arity(), p + 1));
-            }
-        }
-        Err(TxError::schema(format!("unknown attribute {name}")))
     }
 
     /// Evaluate a state-sorted fluent at a state value — the denotation
@@ -564,6 +564,7 @@ pub struct ModelBuilder {
     schema: Schema,
     graph: EvolutionGraph,
     opts: EvalOptions,
+    tables: LazyTables,
 }
 
 impl ModelBuilder {
@@ -573,6 +574,7 @@ impl ModelBuilder {
             schema,
             graph: EvolutionGraph::new(),
             opts: EvalOptions::default(),
+            tables: LazyTables::default(),
         }
     }
 
@@ -596,7 +598,9 @@ impl ModelBuilder {
         tx: &FTerm,
         env: &Env,
     ) -> TxResult<txlog_base::StateId> {
-        let engine = Engine::builder(&self.schema).options(self.opts).build()?;
+        let engine = self
+            .tables
+            .engine(&self.schema, self.opts, Metrics::current())?;
         let next = engine.execute(self.graph.state(src), tx, env)?;
         let dst = self.graph.add_state(next);
         self.graph.add_arc(src, TxLabel::new(label), dst)?;
@@ -613,9 +617,13 @@ impl ModelBuilder {
         self.graph.transitive_close();
     }
 
-    /// Finish, yielding the model.
+    /// Finish, yielding the model (which inherits the engine tables,
+    /// if an [`apply`](ModelBuilder::apply) built them).
     pub fn finish(self) -> Model {
-        Model::new(self.schema, self.graph).with_options(self.opts)
+        Model {
+            tables: self.tables,
+            ..Model::new(self.schema, self.graph).with_options(self.opts)
+        }
     }
 
     /// Access the graph under construction.

@@ -125,7 +125,7 @@ impl Engine<'_> {
                     .map(|_| ())
             }
             PlanMode::Indexed => {
-                let plan = plan_quantifiers(&self.sig, vars, cond, mode);
+                let plan = plan_quantifiers(&self.tables.sig, vars, cond, mode);
                 self.metrics.bump(Counter::PlansCompiled);
                 let mut cut = false;
                 for pf in &plan.prefilters {

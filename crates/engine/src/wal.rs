@@ -609,9 +609,9 @@ impl Wal {
     }
 }
 
-/// What log recovery did, surfaced through
-/// [`Database::recover`](crate::db::Database::recover) and the builder's
-/// `open_*` methods.
+/// What log recovery did, surfaced through the builder's
+/// [`open_path`](crate::db::DatabaseBuilder::open_path) and
+/// [`open_store`](crate::db::DatabaseBuilder::open_store).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
     /// The recovered head version.

@@ -2,9 +2,9 @@
 //! (iteration-linkage), quantifier domains, and error taxonomy.
 
 use txlog_base::{Atom, TxError};
-use txlog_engine::{Engine, Env, EvalOptions};
-use txlog_logic::{parse_fformula, parse_fterm, ParseCtx};
-use txlog_relational::Schema;
+use txlog_engine::{Engine, Env, EvalOptions, Model};
+use txlog_logic::{parse_fformula, parse_fterm, parse_sformula, ParseCtx};
+use txlog_relational::{EvolutionGraph, Schema};
 
 fn schema() -> Schema {
     Schema::new()
@@ -176,6 +176,16 @@ fn duplicate_attribute_across_relations_is_rejected() {
     };
     assert!(matches!(err, TxError::Schema(_)), "{err}");
     assert!(err.to_string().contains("name"), "{err}");
+    // a model wraps any schema; every evaluation that needs the engine
+    // then fails the way its one build did
+    let mut graph = EvolutionGraph::new();
+    graph.add_state(schema.initial_state());
+    let model = Model::new(schema, graph);
+    let ctx = ParseCtx::with_relations(&["A", "B"]);
+    let f = parse_sformula("forall s: state . s :: (exists a: 2tup . a in A)", &ctx).unwrap();
+    for _ in 0..2 {
+        assert_eq!(model.check(&f).unwrap_err(), err);
+    }
 }
 
 /// The `max_iterations` budget bounds quantifier/set-former enumeration,

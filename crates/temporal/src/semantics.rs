@@ -12,7 +12,7 @@
 
 use crate::ast::TFormula;
 use txlog_base::{StateId, TxResult};
-use txlog_engine::{Engine, Env, Model};
+use txlog_engine::{Env, Model};
 
 /// Decide a temporal formula at a state of the model.
 pub fn holds(model: &Model, s: StateId, f: &TFormula) -> TxResult<bool> {
@@ -22,10 +22,7 @@ pub fn holds(model: &Model, s: StateId, f: &TFormula) -> TxResult<bool> {
 /// As [`holds`], with an environment for free object variables in atoms.
 pub fn holds_env(model: &Model, s: StateId, f: &TFormula, env: &Env) -> TxResult<bool> {
     match f {
-        TFormula::Atom(p) => {
-            let engine = Engine::builder(&model.schema).build()?;
-            engine.eval_truth(model.graph.state(s), p, env)
-        }
+        TFormula::Atom(p) => model.engine()?.eval_truth(model.graph.state(s), p, env),
         TFormula::Not(a) => Ok(!holds_env(model, s, a, env)?),
         TFormula::And(a, b) => Ok(holds_env(model, s, a, env)? && holds_env(model, s, b, env)?),
         TFormula::Or(a, b) => Ok(holds_env(model, s, a, env)? || holds_env(model, s, b, env)?),

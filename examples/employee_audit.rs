@@ -11,7 +11,7 @@
 //! back, exactly the enforcement regime the paper's checkability
 //! analysis licenses.
 
-use txlog::constraints::{History, Window, WindowedChecker};
+use txlog::constraints::{Checker, History, Window};
 use txlog::empdb::constraints::{
     example1_all, ic2_marital_transaction, ic3_dept_reference_connection,
     ic3_salary_needs_dept_switch, ic3_skill_retention,
@@ -23,7 +23,7 @@ use txlog::logic::FTerm;
 use txlog::prelude::TxResult;
 
 struct Auditor {
-    checkers: Vec<(&'static str, WindowedChecker)>,
+    checkers: Vec<Checker>,
     history: History,
 }
 
@@ -31,24 +31,24 @@ impl Auditor {
     fn new(history: History) -> TxResult<Auditor> {
         let mut checkers = Vec::new();
         for (name, f) in example1_all() {
-            checkers.push((name, WindowedChecker::new(f, Window::States(1))?));
+            checkers.push(Checker::new(name, f, Window::States(1))?);
         }
-        checkers.push((
-            "marital-status (Ex.2)",
-            WindowedChecker::new(ic2_marital_transaction(), Window::States(2))?,
-        ));
-        checkers.push((
-            "skill-retention (Ex.3)",
-            WindowedChecker::new(ic3_skill_retention(), Window::States(2))?,
-        ));
-        checkers.push((
-            "salary-needs-dept-switch (Ex.3)",
-            WindowedChecker::new(ic3_salary_needs_dept_switch(), Window::States(3))?,
-        ));
-        checkers.push((
-            "dept-reference-connection (Ex.3)",
-            WindowedChecker::new(ic3_dept_reference_connection(), Window::States(2))?,
-        ));
+        for (name, f, k) in [
+            ("marital-status (Ex.2)", ic2_marital_transaction(), 2),
+            ("skill-retention (Ex.3)", ic3_skill_retention(), 2),
+            (
+                "salary-needs-dept-switch (Ex.3)",
+                ic3_salary_needs_dept_switch(),
+                3,
+            ),
+            (
+                "dept-reference-connection (Ex.3)",
+                ic3_dept_reference_connection(),
+                2,
+            ),
+        ] {
+            checkers.push(Checker::new(name, f, Window::States(k))?);
+        }
         Ok(Auditor { checkers, history })
     }
 
@@ -58,9 +58,9 @@ impl Auditor {
         let saved = self.history.clone();
         self.history.step(label, t, &Env::new())?;
         let mut violations = Vec::new();
-        for (name, checker) in &self.checkers {
+        for checker in &self.checkers {
             if !checker.check_now(&self.history)? {
-                violations.push(*name);
+                violations.push(checker.name());
             }
         }
         if violations.is_empty() {

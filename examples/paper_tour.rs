@@ -9,7 +9,7 @@
 //! this implementation evaluating every claim as it goes.
 
 use txlog::base::Atom;
-use txlog::constraints::{checkability, classify, History, Window, WindowedChecker};
+use txlog::constraints::{checkability, classify, Checker, History, Window};
 use txlog::empdb::constraints as ic;
 use txlog::empdb::transactions as tx;
 use txlog::empdb::{employee_schema, populate, Sizes};
@@ -84,7 +84,11 @@ fn main() -> TxResult<()> {
 
     heading("§4 Ex.2–3  Transaction constraints enforced with windows");
     let mut history = History::new(schema.clone(), db1);
-    let checker = WindowedChecker::new(ic::ic3_skill_retention(), Window::States(2))?;
+    let checker = Checker::new(
+        "skill-retention",
+        ic::ic3_skill_retention(),
+        Window::States(2),
+    )?;
     history.step("learn", &tx::obtain_skill("tour", 3), &env)?;
     println!(
         "  obtain-skill … skill retention holds: {}",

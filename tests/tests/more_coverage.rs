@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use txlog::base::Atom;
-use txlog::constraints::{Complexity, History, Window, WindowedChecker};
+use txlog::constraints::{Checker, Complexity, History, Window};
 use txlog::engine::{Binding, Env, ModelBuilder};
 use txlog::logic::{parse_sformula, FFormula, FTerm, ParseCtx, Var};
 use txlog::prover::{entails, Limits, Tableau};
@@ -101,7 +101,7 @@ fn synthetic_history_checks() {
         &ctx,
     )
     .expect("parses");
-    let checker = WindowedChecker::new(c, Window::Complete).expect("window accepted");
+    let checker = Checker::new("c", c, Window::Complete).expect("window accepted");
     let out = checker.replay(&h).expect("replay evaluates");
     assert!(out.global, "{out:?}");
 }

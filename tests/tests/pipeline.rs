@@ -2,9 +2,7 @@
 //! exercising the crates together the way a downstream user would.
 
 use txlog::base::Atom;
-use txlog::constraints::{
-    checkability, profile, Complexity, Hints, History, Window, WindowedChecker,
-};
+use txlog::constraints::{checkability, profile, Checker, Complexity, Hints, History, Window};
 use txlog::empdb::constraints as ic;
 use txlog::empdb::transactions as tx;
 use txlog::empdb::{employee_schema, populate, Sizes};
@@ -31,29 +29,19 @@ fn full_lifecycle() {
         ("raise", tx::raise_salary("om", 60)),
         ("marry", tx::marry("om").seq(tx::birthday("om"))),
     ];
-    let checkers: Vec<(&str, WindowedChecker)> = vec![
-        (
-            "skill-retention",
-            WindowedChecker::new(ic::ic3_skill_retention(), Window::States(2))
-                .expect("window accepted"),
-        ),
-        (
-            "marital",
-            WindowedChecker::new(ic::ic2_marital_transaction(), Window::States(2))
-                .expect("window accepted"),
-        ),
-        (
-            "salary-dept",
-            WindowedChecker::new(ic::ic3_salary_needs_dept_switch(), Window::States(3))
-                .expect("window accepted"),
-        ),
-    ];
+    let checkers = [
+        ("skill-retention", ic::ic3_skill_retention(), 2),
+        ("marital", ic::ic2_marital_transaction(), 2),
+        ("salary-dept", ic::ic3_salary_needs_dept_switch(), 3),
+    ]
+    .map(|(name, ic, k)| Checker::new(name, ic, Window::States(k)).expect("window accepted"));
     for (label, t) in &steps {
         history.step(label, t, &env).expect("step executes");
-        for (name, c) in &checkers {
+        for c in &checkers {
             assert!(
                 c.check_now(&history).expect("check evaluates"),
-                "{name} violated after {label}"
+                "{} violated after {label}",
+                c.name()
             );
         }
     }
@@ -200,8 +188,8 @@ fn fire_encoding_end_to_end() {
         .step("fire", &enc.rewrite(&tx::fire("pat")), &env)
         .expect("fire executes");
     // statically checkable from here on
-    let checker =
-        WindowedChecker::new(enc.static_constraint(), Window::States(1)).expect("window accepted");
+    let checker = Checker::new("never-rehire", enc.static_constraint(), Window::States(1))
+        .expect("window accepted");
     assert!(checker.check_now(&history).expect("check evaluates"));
     assert_eq!(
         checkability(&enc.static_constraint(), Hints::default()),

@@ -3,19 +3,31 @@
 //! The contract under test: an [`IncrementalChecker`] is *observationally
 //! identical* to full rechecking — for any constraint, window, and step
 //! sequence, its verdict after every step (including evaluation errors)
-//! equals `WindowedChecker::check_now` on a parallel [`History`] fed the
+//! equals `Checker::check_now` on a parallel [`History`] fed the
 //! same transactions. The checker may only differ in *cost*, never in
-//! answers. Also covers the `push_state` entry point (deltas derived by
-//! diffing pre-computed states), constructor parity on degenerate
-//! windows, and the `DbState::diff` round-trip law the delta layer
-//! rests on.
+//! answers. The same loop holds the [`Checker`]'s entry points to one
+//! evaluation: `check_window` over the window sliced out of the history,
+//! `check_now`, and `check_assisted` (which may skip it, on a
+//! certificate). Also covers the `push_state` entry point (deltas
+//! derived by diffing pre-computed states), constructor parity on
+//! degenerate windows, and the `DbState::diff` round-trip law the delta
+//! layer rests on.
 
 use proptest::prelude::*;
+use std::sync::{Mutex, PoisonError};
 use txlog::base::Atom;
-use txlog::constraints::{History, IncrementalChecker, Window, WindowedChecker};
+use txlog::constraints::{
+    Assisted, Checker, History, IncrementalChecker, VerifiedRegistry, Window,
+};
 use txlog::engine::{Engine, Env};
 use txlog::logic::{parse_fterm, parse_sformula, FTerm, ParseCtx, SFormula};
+use txlog::prelude::{Counter, Metrics};
 use txlog::relational::Schema;
+
+/// `model_checks` is recorded by the process-global recorder, which the
+/// test threads of this binary share: every case that builds a model
+/// holds this, so the case observing the counter sees only its own.
+static MODEL_BUILDERS: Mutex<()> = Mutex::new(());
 
 fn schema() -> Schema {
     Schema::new()
@@ -104,39 +116,65 @@ proptest! {
         widx in 0usize..4,
         steps in steps_strategy(),
     ) {
+        let _serial = MODEL_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner);
+        let global = Metrics::enabled();
+        global.install_global();
         let constraint = constraint(cidx);
         let window = window(widx);
+        let width = match window {
+            Window::States(k) => k,
+            _ => usize::MAX,
+        };
         let schema = schema();
         let db = schema.initial_state();
         let mut inc = IncrementalChecker::new(
             schema.clone(), db.clone(), constraint.clone(), window.clone(),
         ).unwrap();
-        let full = WindowedChecker::new(constraint, window).unwrap();
+        let full = Checker::new("full", constraint, window).unwrap();
         let mut history = History::new(schema, db);
         let env = Env::new();
         for (i, &(kind, param)) in steps.iter().enumerate() {
             let tx = transaction(kind, param);
             let label = label(i, kind);
             let got = inc.step(&label, &tx, &env);
-            match history.step(&label, &tx, &env) {
-                Err(exec_err) => {
-                    // execution failed before any state was appended:
-                    // the incremental checker must fail the same way
-                    // and neither history may advance
-                    let inc_err = got.expect_err("step must propagate execution errors");
-                    prop_assert_eq!(inc_err.to_string(), exec_err.to_string());
-                    prop_assert_eq!(inc.history().len(), history.len());
-                }
-                Ok(_) => match (got, full.check_now(&history)) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "verdict diverged"),
+            if let Err(exec_err) = history.step(&label, &tx, &env) {
+                // execution failed before any state was appended:
+                // the incremental checker must fail the same way
+                // and neither history may advance
+                let inc_err = got.expect_err("step must propagate execution errors");
+                prop_assert_eq!(inc_err.to_string(), exec_err.to_string());
+                prop_assert_eq!(inc.history().len(), history.len());
+                continue;
+            }
+            // one evaluation, three ways in: the incremental verdict,
+            // the history's current end, the same window handed over
+            // as borrowed slices
+            let now = full.check_now(&history);
+            let start = history.len().saturating_sub(width);
+            let (states, labels) = (&history.states()[start..], &history.labels()[start..]);
+            let sliced = full.check_window(history.schema(), states, labels);
+            for (entry, other) in [("incremental", &got), ("sliced window", &sliced)] {
+                match (other, &now) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} verdict diverged", entry),
                     (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
                     (a, b) => prop_assert!(
                         false,
-                        "status diverged: incremental {a:?} vs full {b:?}"
+                        "status diverged: {entry} {a:?} vs check_now {b:?}"
                     ),
-                },
+                }
             }
+            // without a certificate the assisted check is check_now;
+            // with one it accepts on the registry's word, no model built
+            let unassisted = full.check_assisted(&history, &label, &VerifiedRegistry::new());
+            prop_assert_eq!(unassisted, now.map(Assisted::Checked));
+            let mut certifying = VerifiedRegistry::new();
+            certifying.record(&label, full.name());
+            let model_checks = global.get(Counter::ModelChecks);
+            let certified = full.check_assisted(&history, &label, &certifying);
+            prop_assert_eq!(certified, Ok(Assisted::Certified));
+            prop_assert_eq!(global.get(Counter::ModelChecks), model_checks);
         }
+        Metrics::disabled().install_global();
     }
 
     /// `push_state` (delta derived by diffing, not by tracing the
@@ -147,6 +185,7 @@ proptest! {
         widx in 0usize..4,
         steps in steps_strategy(),
     ) {
+        let _serial = MODEL_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner);
         let constraint = constraint(cidx);
         let window = window(widx);
         let schema = schema();
@@ -154,7 +193,7 @@ proptest! {
         let mut inc = IncrementalChecker::new(
             schema.clone(), db.clone(), constraint.clone(), window.clone(),
         ).unwrap();
-        let full = WindowedChecker::new(constraint, window).unwrap();
+        let full = Checker::new("full", constraint, window).unwrap();
         let mut history = History::new(schema.clone(), db.clone());
         let engine = Engine::builder(&schema).build().unwrap();
         let env = Env::new();
@@ -214,7 +253,7 @@ proptest! {
     }
 
     /// Constructor parity: `IncrementalChecker::new` accepts exactly the
-    /// windows `WindowedChecker::new` accepts.
+    /// windows `Checker::new` accepts.
     #[test]
     fn constructor_parity_on_degenerate_windows(cidx in 0usize..4, k in 0usize..4) {
         let schema = schema();
@@ -224,7 +263,7 @@ proptest! {
             Window::Complete,
             Window::NotCheckable("refers to unboundedly distant states".into()),
         ] {
-            let full = WindowedChecker::new(constraint(cidx), w.clone());
+            let full = Checker::new("full", constraint(cidx), w.clone());
             let inc = IncrementalChecker::new(
                 schema.clone(), db.clone(), constraint(cidx), w,
             );
@@ -241,6 +280,9 @@ proptest! {
 /// tests above would pass even for a cache that never hits).
 #[test]
 fn noise_reuse_is_observable() {
+    let _serial = MODEL_BUILDERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let schema = schema();
     let db = schema.initial_state();
     let mut inc = IncrementalChecker::new(

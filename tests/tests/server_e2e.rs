@@ -119,7 +119,7 @@ fn constraint_violation_arrives_as_a_typed_wire_error() {
     .expect("constraint parses");
     let mut db = Database::builder(schema).build().expect("database builds");
     db.add_constraint(Box::new(
-        txlog::constraints::SessionConstraint::new(
+        txlog::constraints::Checker::for_session(
             "pay-cap",
             cap,
             txlog::constraints::Hints::default(),

@@ -366,13 +366,13 @@ fn checkpoints_change_replay_cost_not_the_recovered_state() {
 /// recovery fail loudly instead of serving a bad head.
 #[test]
 fn recovery_checks_constraints_against_the_recovered_head() {
-    use txlog::constraints::{Hints, SessionConstraint};
+    use txlog::constraints::{Checker, Hints};
     use txlog::logic::parse_sformula;
 
     let (bytes, _) = logged_run(Durability::wal());
     let constraint = |text: &str| {
         Box::new(
-            SessionConstraint::new("cap", parse_sformula(text, &ctx()).expect("parses"), {
+            Checker::for_session("cap", parse_sformula(text, &ctx()).expect("parses"), {
                 Hints::default()
             })
             .expect("bounded window"),
