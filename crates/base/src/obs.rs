@@ -112,6 +112,11 @@ pub enum Counter {
     EngineBuilds,
     /// Closed s-formulas decided by the finite-model checker.
     ModelChecks,
+    /// Constraint windows decided by a lowered program (Definition 4's
+    /// `s :: q`, or its two-state transaction form) on the planner,
+    /// without building a model. `model_checks + lowered_checks` counts
+    /// every window a `Checker` decided.
+    LoweredChecks,
     /// Constraint checks requested of an incremental checker
     /// (`reused + recomputed == requested` is a checked invariant).
     ChecksRequested,
@@ -208,7 +213,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [Counter; 63] = [
+    pub const ALL: [Counter; 64] = [
         Counter::PlansCompiled,
         Counter::PrefilterCuts,
         Counter::ScanSteps,
@@ -236,6 +241,7 @@ impl Counter {
         Counter::ExecAssign,
         Counter::EngineBuilds,
         Counter::ModelChecks,
+        Counter::LoweredChecks,
         Counter::ChecksRequested,
         Counter::CacheReused,
         Counter::CacheRecomputed,
@@ -304,6 +310,7 @@ impl Counter {
             Counter::ExecAssign => "exec_assign",
             Counter::EngineBuilds => "engine_builds",
             Counter::ModelChecks => "model_checks",
+            Counter::LoweredChecks => "lowered_checks",
             Counter::ChecksRequested => "checks_requested",
             Counter::CacheReused => "cache_reused",
             Counter::CacheRecomputed => "cache_recomputed",

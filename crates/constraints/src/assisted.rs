@@ -8,7 +8,7 @@
 //! * transactions are registered with per-constraint **verification
 //!   verdicts** (from `txlog-prover`'s pipeline, or any other proof);
 //! * at each step, [`Checker::check_assisted`] skips constraints the
-//!   arriving transaction *provably preserves* — no model built, no
+//!   arriving transaction *provably preserves* — no window decided, no
 //!   history consulted;
 //! * other constraints fall back to the ordinary windowed check.
 //!
@@ -89,7 +89,8 @@ impl Checker {
         registry: &VerifiedRegistry,
     ) -> TxResult<Assisted> {
         if registry.certified(last_label, self.name()) {
-            // the matching model-check counter comes from Model::check
+            // the matching `model_checks` / `lowered_checks` come from
+            // the check this skips
             Metrics::current().bump(Counter::ProofSkips);
             return Ok(Assisted::Certified);
         }

@@ -4,10 +4,16 @@
 //! engine-side [`CommitConstraint`] trait, which knows nothing about
 //! s-formulas. [`Checker`] implements it: the session layer hands over
 //! a borrowed window of consecutive states, [`Checker::check_window`]
-//! decides the formula in their window model exactly as it does for a
-//! recorded [`History`](crate::History), and [`Checker::read_set`] is
+//! decides the constraint over it exactly as it does for a recorded
+//! [`History`](crate::History) — as fluent formulas on the engine's
+//! planner where [`lower`](crate::lower) applies, which it does to
+//! every constraint of the paper's Section 4 a session can register,
+//! and in the window's model otherwise — and [`Checker::read_set`] is
 //! intersected with each commit's [`Delta`] to skip checks that cannot
-//! change the verdict.
+//! change the verdict. The trait hands the schema over per check, so a
+//! checker compiles its plans at the first one (the base check of
+//! [`Database::add_constraint`](txlog_engine::Database::add_constraint))
+//! and keeps them.
 
 use crate::window::{checkability, Checker, Hints, Window};
 use txlog_base::{TxError, TxResult};

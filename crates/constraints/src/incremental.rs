@@ -1,8 +1,8 @@
 //! Delta-driven incremental constraint checking.
 //!
-//! [`Checker::check_now`] rebuilds its window model and re-evaluates the
-//! constraint after *every* transaction, even when the step could not
-//! possibly have changed the verdict — the common case for a large
+//! [`Checker::check_now`] re-evaluates the constraint over its window
+//! after *every* transaction, even when the step could not possibly
+//! have changed the verdict — the common case for a large
 //! database with localized updates. [`IncrementalChecker`] is the
 //! stateful half: a [`Checker`] plus the [`History`] it runs over and a
 //! sound verdict cache driven by the deltas of the executed transactions:
@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use txlog_base::obs::{Counter, Hist, Metrics};
 use txlog_base::{RelId, TupleId, TxResult};
-use txlog_engine::{Engine, Env};
+use txlog_engine::Env;
 use txlog_logic::{FTerm, SFormula};
 use txlog_relational::{DbState, Delta, Schema};
 
@@ -178,9 +178,7 @@ impl IncrementalChecker {
     /// Execute `tx` at the latest state, record the step, and check.
     pub fn step(&mut self, label: &str, tx: &FTerm, env: &Env) -> TxResult<bool> {
         let (next, delta) = {
-            let engine = Engine::builder(self.history.schema())
-                .metrics(self.metrics.clone())
-                .build()?;
+            let engine = self.history.engine(self.metrics.clone())?;
             let exec = engine.execute_traced(self.history.latest(), tx, env)?;
             (exec.state, exec.delta)
         };
@@ -526,7 +524,7 @@ mod tests {
         let mut by_push =
             IncrementalChecker::new(schema.clone(), db.clone(), constraint, Window::States(2))
                 .unwrap();
-        let engine = Engine::builder(&schema).build().unwrap();
+        let engine = txlog_engine::Engine::builder(&schema).build().unwrap();
         let env = Env::new();
         let mut cur = db;
         for (label, tx) in [("raise", raise()), ("noise", noise())] {

@@ -35,6 +35,7 @@ pub mod commit;
 pub mod complexity;
 pub mod encoding;
 pub mod incremental;
+pub mod lower;
 pub mod reactive;
 pub mod readset;
 pub mod window;

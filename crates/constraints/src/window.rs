@@ -13,11 +13,18 @@
 //! This module provides both halves of that story:
 //!
 //! * [`History`] + [`Checker`] — enforce a constraint while maintaining
-//!   only the last `k` states (the *partial model*). `model_of` is the
-//!   one routine that turns a window of states into that model and
-//!   [`Checker::check_window`] the one place a formula meets it: the
-//!   commit path, [`Checker::check_now`] and [`Checker::replay`] all
-//!   arrive there over borrowed states;
+//!   only the last `k` states (the *partial model*).
+//!   [`Checker::check_window`] is the one place a formula meets a
+//!   window — the commit path, [`Checker::check_now`] and
+//!   [`Checker::replay`] all arrive there over borrowed states — and
+//!   it dispatches: a constraint [`lower`](crate::lower) could bring
+//!   into Definition 4's form runs as fluent formulas on the engine's
+//!   planner, compiled once at the first check; any other takes
+//!   [`Checker::check_model`], where `model_of` (the one routine that
+//!   turns a window of states into its partial model) builds the
+//!   evolution graph and the finite-model checker decides the
+//!   s-formula in it. The model route is also the differential oracle
+//!   the lowered one is held to;
 //! * [`checkability`] — a conservative analysis combining the syntactic
 //!   class with caller-supplied domain [`Hints`] (the paper's
 //!   transitivity arguments are domain facts, not syntax);
@@ -27,12 +34,15 @@
 //!   small. Soundness of a *claimed* window is thereby refutable.
 
 use crate::classify::{classify, ConstraintClass};
+use crate::lower::{lower, Lowered};
 use crate::readset::{read_set, ReadSet};
+use std::sync::OnceLock;
 use txlog_base::obs::{Hist, Metrics};
 use txlog_base::{TxError, TxResult};
-use txlog_engine::{Env, Model};
-use txlog_logic::{FTerm, SFormula};
-use txlog_relational::{DbState, EvolutionGraph, Schema, TxLabel};
+use txlog_engine::plan::Prepared;
+use txlog_engine::{Engine, Env, EvalOptions, LazyTables, Model};
+use txlog_logic::{FFormula, FTerm, SFormula};
+use txlog_relational::{DbState, EvolutionGraph, RelDecl, Schema, TxLabel};
 
 /// How much history a database system must maintain to enforce a
 /// constraint.
@@ -169,6 +179,8 @@ pub struct History {
     schema: Schema,
     states: Vec<DbState>,
     labels: Vec<String>,
+    /// The engine tables of `schema`, built by the first step.
+    tables: LazyTables,
 }
 
 impl History {
@@ -178,12 +190,19 @@ impl History {
             schema,
             states: vec![initial],
             labels: Vec::new(),
+            tables: LazyTables::default(),
         }
+    }
+
+    /// An engine over the history's schema, reporting into `metrics`.
+    pub(crate) fn engine(&self, metrics: Metrics) -> TxResult<Engine<'_>> {
+        self.tables
+            .engine(&self.schema, EvalOptions::default(), metrics)
     }
 
     /// Execute `tx` at the latest state and append the result.
     pub fn step(&mut self, label: &str, tx: &FTerm, env: &Env) -> TxResult<&DbState> {
-        let engine = txlog_engine::Engine::builder(&self.schema).build()?;
+        let engine = self.engine(Metrics::current())?;
         let exec = engine.execute_traced(self.latest(), tx, env)?;
         let (next, delta) = (exec.state, exec.delta);
         engine
@@ -245,12 +264,15 @@ impl History {
     }
 }
 
-/// One declared constraint with the two static analyses enforcement
-/// needs: how many consecutive states a check must see (the paper's
-/// Section 3 window) and the [`ReadSet`] its verdict can depend on.
-/// Stateless: the same value checks a recorded [`History`], backs an
-/// [`IncrementalChecker`](crate::IncrementalChecker), and validates
-/// commits as a [`CommitConstraint`](txlog_engine::CommitConstraint).
+/// One declared constraint with the static analyses enforcement needs:
+/// how many consecutive states a check must see (the paper's Section 3
+/// window), the [`ReadSet`] its verdict can depend on, and — where
+/// [`lower`](crate::lower) finds one — its form as fluent formulas the
+/// engine's planner runs. The same value checks a recorded [`History`],
+/// backs an [`IncrementalChecker`](crate::IncrementalChecker), and
+/// validates commits as a
+/// [`CommitConstraint`](txlog_engine::CommitConstraint). It keeps no
+/// state between checks but what compiling the constraint once yields.
 #[derive(Clone)]
 pub struct Checker {
     name: String,
@@ -258,6 +280,39 @@ pub struct Checker {
     /// States a check sees; `usize::MAX` for the complete history.
     pub(crate) window: usize,
     readset: ReadSet,
+    /// The constraint in Definition 4's form, if it has one.
+    lowered: Option<Lowered<FFormula>>,
+    /// `lowered`, planned for the schema of the first check.
+    compiled: OnceLock<Compiled>,
+    /// Where checks report; the process-global recorder if `None`.
+    metrics: Option<Metrics>,
+}
+
+/// A lowered constraint made ready for one schema: the engine tables
+/// and every quantifier plan, built once.
+#[derive(Clone)]
+struct Compiled {
+    /// The schema compiled for, to recognise it at the next check.
+    decls: Vec<RelDecl>,
+    tables: LazyTables,
+    /// `None` when the schema or a plan was rejected: the model route
+    /// reports it.
+    program: Option<Lowered<Prepared>>,
+}
+
+impl Compiled {
+    fn new(lowered: &Lowered<FFormula>, schema: &Schema, metrics: &Metrics) -> Compiled {
+        let tables = LazyTables::default();
+        let program = tables
+            .engine(schema, EvalOptions::default(), metrics.clone())
+            .and_then(|engine| lowered.prepare(&engine))
+            .ok();
+        Compiled {
+            decls: schema.decls().to_vec(),
+            tables,
+            program,
+        }
+    }
 }
 
 /// Outcome of checking a whole history.
@@ -290,9 +345,25 @@ impl Checker {
         Ok(Checker {
             name: name.into(),
             readset: read_set(&formula),
+            lowered: lower(&formula, window),
+            compiled: OnceLock::new(),
+            metrics: None,
             formula,
             window,
         })
+    }
+
+    /// Report checks into `metrics` instead of the process-global
+    /// recorder.
+    pub fn with_metrics(mut self, metrics: Metrics) -> Checker {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Whether checks run the constraint's lowered form on the planner
+    /// rather than deciding the s-formula in a model.
+    pub fn is_lowered(&self) -> bool {
+        self.lowered.is_some()
     }
 
     /// The constraint's name.
@@ -306,16 +377,64 @@ impl Checker {
         &self.readset
     }
 
-    /// Decide the constraint in the partial model of one window:
-    /// `states` oldest first, `labels[i]` the transaction that produced
-    /// `states[i + 1]`. Every other entry point ends here.
+    /// Decide the constraint over one window: `states` oldest first,
+    /// `labels[i]` the transaction that produced `states[i + 1]`. Every
+    /// other entry point ends here. A lowered constraint runs on the
+    /// planner; the rest — and any window the lowered form does not
+    /// cover: malformed, or with a repeated state among three or more,
+    /// which a model merges into one node — go to
+    /// [`check_model`](Checker::check_model).
     pub fn check_window<L: AsRef<str>>(
         &self,
         schema: &Schema,
         states: &[DbState],
         labels: &[L],
     ) -> TxResult<bool> {
-        model_of(schema, states, labels)?.check(&self.formula)
+        let Some(lowered) = &self.lowered else {
+            return self.check_model(schema, states, labels);
+        };
+        if labels.len() + 1 != states.len() || !lowered.covers(states) {
+            return self.check_model(schema, states, labels);
+        }
+        let metrics = self.metrics.clone().unwrap_or_else(Metrics::current);
+        let kept = self
+            .compiled
+            .get_or_init(|| Compiled::new(lowered, schema, &metrics));
+        // a caller presenting another schema gets a fresh compilation,
+        // not the kept tables
+        let other;
+        let compiled = if kept.decls == schema.decls() {
+            kept
+        } else {
+            other = Compiled::new(lowered, schema, &metrics);
+            &other
+        };
+        match &compiled.program {
+            Some(program) => {
+                let engine = compiled
+                    .tables
+                    .engine(schema, EvalOptions::default(), metrics)?;
+                program.holds(&engine, states)
+            }
+            None => self.check_model(schema, states, labels),
+        }
+    }
+
+    /// Decide the s-formula in the partial model of one window, as
+    /// Definition 2 reads it: the route of every constraint that is
+    /// not lowered, and the oracle the lowered route must agree with.
+    pub fn check_model<L: AsRef<str>>(
+        &self,
+        schema: &Schema,
+        states: &[DbState],
+        labels: &[L],
+    ) -> TxResult<bool> {
+        let model = model_of(schema, states, labels)?;
+        match &self.metrics {
+            Some(metrics) => model.with_metrics(metrics.clone()),
+            None => model,
+        }
+        .check(&self.formula)
     }
 
     /// Check the window ending at `history`'s state number `end`.

@@ -35,8 +35,8 @@
 //! [`CommitConstraint`] is first screened by its read set: a constraint
 //! whose reads are disjoint from the commit's delta kept its verdict by
 //! induction (the head always satisfies every registered constraint), so
-//! only the affected ones are re-checked — fanned out across a
-//! `std::thread::scope` worker pool. A violation aborts the commit with
+//! only the affected ones are re-checked — inline on the committing
+//! thread, in registration order. A violation aborts the commit with
 //! [`CommitError::ConstraintViolation`] and leaves the head untouched.
 //!
 //! Durable databases commit through the *group-commit* stage (the
@@ -76,7 +76,6 @@ use crate::sim::{ProtocolBug, StepHook, StepPoint};
 use crate::wal::Wal;
 use head::Head;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use txlog_base::obs::{Counter, Metrics};
@@ -504,9 +503,10 @@ impl Database {
         })
     }
 
-    /// Validate a candidate commit against the registered constraints,
-    /// fanning affected checks across a scoped worker pool. Caller holds
-    /// the head lock.
+    /// Validate a candidate commit against the registered constraints:
+    /// every affected one is checked on this thread, in registration
+    /// order — all of them even past a failure, so each constraint sees
+    /// every commit that reaches it. Caller holds the head lock.
     fn validate(
         &self,
         head: &Head,
@@ -533,50 +533,17 @@ impl Database {
         let _span = self.metrics.span("commit.validate");
         self.metrics
             .add(Counter::CommitValidations, affected.len() as u64);
-        // Build each constraint's window up front: trailing committed
-        // states plus the candidate, with the commit label closing it.
-        let jobs: Vec<(Vec<DbState>, Vec<&str>)> = affected
+        // Each constraint's window: trailing committed states plus the
+        // candidate, with the commit label closing it.
+        let verdicts: Vec<TxResult<bool>> = affected
             .iter()
-            .map(|c| head.window(c.window_states().max(1) - 1, Some((candidate, label))))
+            .map(|c| {
+                let prior = c.window_states().max(1) - 1;
+                self.check(*c, &head.window(prior, Some((candidate, label))))
+            })
             .collect();
-        // under a hook, validate serially: the simulator's schedules
-        // must not depend on worker-pool timing
-        let workers = if self.hook.is_some() {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(affected.len())
-        };
-        let results: Vec<Mutex<Option<TxResult<bool>>>> =
-            affected.iter().map(|_| Mutex::new(None)).collect();
-        let run = |i: usize| {
-            let verdict = self.check(affected[i], &jobs[i]);
-            *results[i].lock().expect("validation slot") = Some(verdict);
-        };
-        if workers <= 1 {
-            (0..affected.len()).for_each(run);
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Relaxed);
-                        if i >= affected.len() {
-                            break;
-                        }
-                        run(i);
-                    });
-                }
-            });
-        }
-        // report deterministically: first failure in registration order
-        for (c, slot) in affected.iter().zip(results) {
-            let verdict = slot
-                .into_inner()
-                .expect("validation slot")
-                .expect("every validation job ran");
+        // report the first failure in registration order
+        for (c, verdict) in affected.iter().zip(verdicts) {
             match verdict {
                 Ok(true) => {}
                 Ok(false) => {

@@ -1,6 +1,7 @@
 use super::*;
 use crate::env::Env;
 use crate::wal::{Durability, LogStore, MemStore, WalError};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use txlog_events::PatternDef;
 use txlog_logic::{parse_fterm, FTerm, ParseCtx};
 
@@ -947,8 +948,10 @@ impl CommitConstraint for PanicsOnSecondCheck {
 
 /// A constraint is caller code running under the head lock. One that
 /// panics fails its own commit with a typed error and leaves the
-/// database usable — on the serial validation path (one affected
-/// constraint) and on the scoped worker pool (two).
+/// database usable — with one affected constraint and with two: both
+/// still run on the failing commit (validation does not stop at the
+/// first failure), so the second's own panic is behind it, too, when
+/// the fresh session commits.
 #[test]
 fn panicking_constraint_fails_its_commit_not_the_database() {
     for names in [&["flaky"][..], &["flaky-a", "flaky-b"][..]] {

@@ -26,6 +26,7 @@
 //! `delete-action` axiom demands.
 
 use crate::env::{Binding, Env};
+use crate::plan::PlanTable;
 use crate::value::{SetVal, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -146,17 +147,21 @@ pub(crate) struct SchemaTables {
     pub(crate) sig: Signature,
 }
 
-/// [`SchemaTables`] built on first use and kept, for owners of a schema
-/// whose constructor is infallible ([`Model`](crate::Model),
-/// [`ModelBuilder`](crate::ModelBuilder)): an invalid schema fails every
-/// evaluation with the error [`EngineBuilder::build`] gave the first.
-#[derive(Default)]
-pub(crate) struct LazyTables(OnceLock<TxResult<Arc<SchemaTables>>>);
+/// The engine tables of one schema, built on first use and kept: the
+/// handle an owner of a schema holds so that its engines are O(1)
+/// views, not rebuilds. For owners whose constructor is infallible
+/// ([`Model`](crate::Model), [`ModelBuilder`](crate::ModelBuilder), a
+/// constraint checker's `History` and `Checker`): an invalid schema
+/// fails every evaluation with the error [`EngineBuilder::build`] gave
+/// the first. Clones share the tables.
+#[derive(Clone, Default)]
+pub struct LazyTables(OnceLock<TxResult<Arc<SchemaTables>>>);
 
 impl LazyTables {
     /// An engine over `schema` — which must be the same schema on every
-    /// call — building the tables if this is the first.
-    pub(crate) fn engine<'a>(
+    /// call — building the tables (one `engine_builds`, reported into
+    /// `metrics`) if this is the first.
+    pub fn engine<'a>(
         &self,
         schema: &'a Schema,
         opts: EvalOptions,
@@ -189,6 +194,10 @@ pub struct Engine<'a> {
     /// Observability sink; disabled (one branch per event) unless a
     /// recorder was installed globally or threaded in explicitly.
     pub(crate) metrics: Metrics,
+    /// Quantifier plans compiled ahead of time for the formula being
+    /// evaluated ([`Prepared`](crate::plan::Prepared)); `None` plans
+    /// each enumeration as it is met.
+    pub(crate) plans: Option<&'a PlanTable>,
 }
 
 impl<'a> Engine<'a> {
@@ -216,6 +225,7 @@ impl<'a> Engine<'a> {
             opts,
             tables,
             metrics,
+            plans: None,
         }
     }
 

@@ -15,7 +15,7 @@
 //!   share `Arc` snapshots of an immutable committed head, and
 //!   [`Session`]s commit transactions through an optimistic pipeline
 //!   (execute at snapshot, detect conflicts by delta/footprint
-//!   intersection, forward or retry, validate constraints in parallel).
+//!   intersection, forward or retry, validate the affected constraints).
 //!
 //! [`DbState`]: txlog_relational::DbState
 
@@ -40,7 +40,7 @@ pub use db::{
 pub use env::{Binding, Env};
 pub use events::{EventCallback, EventNotification, SubId};
 pub use exec::{
-    check_program, Engine, EngineBuilder, EvalOptions, Execution, PlanMode, ProgramKind,
+    check_program, Engine, EngineBuilder, EvalOptions, Execution, LazyTables, PlanMode, ProgramKind,
 };
 pub use explain::{Explain, ExplainNode, ExplainStep, SourceKind};
 pub use model::{Model, ModelBuilder};

@@ -505,8 +505,10 @@ impl Model {
 }
 
 /// Find a membership conjunct `v ∈ S` restricting situational variable
-/// `v`, searching positive conjuncts and implication antecedents.
-fn find_smembership(p: &SFormula, v: Var) -> Option<&STerm> {
+/// `v`, searching positive conjuncts and implication antecedents. The
+/// set it names *is* the variable's domain in a [`Model`]; public so a
+/// translation of s-formulas can check it names the same one.
+pub fn find_smembership(p: &SFormula, v: Var) -> Option<&STerm> {
     match p {
         SFormula::Member(STerm::Var(x), set) if *x == v => Some(set),
         SFormula::And(a, b) => find_smembership(a, v).or_else(|| find_smembership(b, v)),

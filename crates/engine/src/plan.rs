@@ -4,7 +4,7 @@
 //! is its runtime half: `Engine::for_each_assignment` enumerates the
 //! satisfying candidate bindings of a quantifier prefix either naively
 //! (the oracle semantics) or through a compiled
-//! [`QuantPlan`](txlog_logic::plan::QuantPlan) — index probes,
+//! [`QuantPlan`] — index probes,
 //! membership scans, and residual filters.
 //!
 //! Two invariants keep the planned path observationally equivalent to
@@ -23,14 +23,22 @@
 //!   than naive evaluation (it can skip bindings whose condition would
 //!   error), but whenever the naive path returns `Ok`, the planned path
 //!   returns the same `Ok`.
+//!
+//! Planning is syntactic, so a formula evaluated many times can be
+//! planned once: [`Engine::prepare`] returns a [`Prepared`] — the
+//! formula plus the plan of every enumeration in it — and
+//! [`Engine::eval_prepared`] / [`Engine::for_each_prepared`] interpret
+//! those plans instead of compiling them again per evaluation.
 
 use crate::env::{Binding, Env};
 use crate::exec::{active_atoms, collect_fformula_atoms, Engine, PlanMode};
 use crate::value::Value;
+use std::collections::HashMap;
+use std::sync::Arc;
 use txlog_base::obs::{Counter, Hist};
 use txlog_base::{Atom, TxError, TxResult};
-use txlog_logic::plan::{plan_quantifiers, DomainSource, GuardMode, PlanStep};
-use txlog_logic::{FFormula, Var};
+use txlog_logic::plan::{plan_quantifiers, DomainSource, GuardMode, PlanStep, QuantPlan};
+use txlog_logic::{FFormula, FTerm, Var};
 use txlog_relational::{DbState, TupleVal};
 
 /// Every tuple value of arity `n` in the state, in (relation, identity)
@@ -95,15 +103,180 @@ impl Budget {
     }
 }
 
+/// Compiled plans, keyed by the address of the condition node each one
+/// enumerates under. Addresses are compared, never dereferenced.
+pub(crate) type PlanTable = HashMap<usize, QuantPlan>;
+
+fn node_key(cond: &FFormula) -> usize {
+    cond as *const FFormula as usize
+}
+
+/// An f-formula planned once: the formula plus the [`QuantPlan`] of
+/// every enumeration evaluating it will run — each quantifier and
+/// set-former node, the formulas inside those plans, and optionally a
+/// universal prefix over the whole formula — built by
+/// [`Engine::prepare`]. Clones share one tree and one table.
+///
+/// Plans are keyed by node address inside this value's own heap tree,
+/// which is never moved, mutated or handed out, and is alive whenever
+/// it is being evaluated — so no other live node can share an address
+/// with one of its nodes, and a hit is always the plan of that node.
+#[derive(Clone)]
+pub struct Prepared(Arc<PreparedInner>);
+
+struct PreparedInner {
+    formula: Box<FFormula>,
+    /// The universal prefix [`Engine::for_each_prepared`] enumerates.
+    vars: Vec<Var>,
+    plans: PlanTable,
+}
+
+/// Plans every enumeration under a formula the way the evaluator will
+/// ask for it: same variables, same condition node, same [`GuardMode`].
+struct Planner<'e> {
+    engine: &'e Engine<'e>,
+    plans: PlanTable,
+}
+
+impl Planner<'_> {
+    fn formula(&mut self, p: &FFormula) -> TxResult<()> {
+        match p {
+            FFormula::True | FFormula::False => Ok(()),
+            FFormula::Cmp(_, a, b) | FFormula::Member(a, b) | FFormula::Subset(a, b) => {
+                self.term(a)?;
+                self.term(b)
+            }
+            FFormula::Not(q) => self.formula(q),
+            FFormula::And(a, b)
+            | FFormula::Or(a, b)
+            | FFormula::Implies(a, b)
+            | FFormula::Iff(a, b) => {
+                self.formula(a)?;
+                self.formula(b)
+            }
+            FFormula::Exists(v, body) => self.node(&[*v], body, GuardMode::Positive),
+            FFormula::Forall(v, body) => self.node(&[*v], body, GuardMode::Guarded),
+            FFormula::UserPred(_, ts) => ts.iter().try_for_each(|t| self.term(t)),
+        }
+    }
+
+    fn term(&mut self, t: &FTerm) -> TxResult<()> {
+        match t {
+            FTerm::Attr(_, t) | FTerm::Select(t, _) | FTerm::IdOf(t) => self.term(t),
+            FTerm::TupleCons(ts) | FTerm::App(_, ts) | FTerm::UserApp(_, ts) => {
+                ts.iter().try_for_each(|t| self.term(t))
+            }
+            FTerm::SetFormer { head, vars, cond } => {
+                self.term(head)?;
+                self.node(vars, cond, GuardMode::Positive)
+            }
+            // variables and constants; transactions are not evaluated
+            // in object position
+            _ => Ok(()),
+        }
+    }
+
+    /// Plan the enumeration of `vars` under `cond`, then everything
+    /// that enumeration evaluates: `cond` itself and the plan's own
+    /// prefilters, filters and probe keys.
+    fn node(&mut self, vars: &[Var], cond: &FFormula, mode: GuardMode) -> TxResult<()> {
+        let sig = &self.engine.tables.sig;
+        let plan = plan_quantifiers(sig, vars, cond, mode);
+        self.engine.metrics.bump(Counter::PlansCompiled);
+        for step in &plan.steps {
+            if let DomainSource::Scan(rel) | DomainSource::IndexProbe { rel, .. } = &step.source {
+                // the check `bounding_relation` would fail at every
+                // evaluation, made once
+                let (n, arity) = (tup_arity(step.var), sig.rel_arity(*rel)?);
+                if n != arity {
+                    return Err(TxError::sort(format!(
+                        "variable {} has arity {n} but relation {rel} has arity {arity}",
+                        step.var
+                    )));
+                }
+            }
+            if let DomainSource::IndexProbe { key, .. } = &step.source {
+                self.term(key)?;
+            }
+            step.filters.iter().try_for_each(|f| self.formula(f))?;
+        }
+        plan.prefilters.iter().try_for_each(|f| self.formula(f))?;
+        self.formula(cond)?;
+        self.plans.insert(node_key(cond), plan);
+        Ok(())
+    }
+}
+
 impl Engine<'_> {
+    /// Plan `formula` once for repeated evaluation: every quantifier and
+    /// set-former in it, plus — when `vars` is not empty — the universal
+    /// prefix `∀ vars` over the whole formula, for
+    /// [`for_each_prepared`](Engine::for_each_prepared). Fails where
+    /// every evaluation would: a variable bounded by a relation of
+    /// another arity, or by one the schema does not declare.
+    pub fn prepare(&self, vars: &[Var], formula: FFormula) -> TxResult<Prepared> {
+        // boxed first: the plans are keyed into the tree where it lies
+        let formula = Box::new(formula);
+        let mut planner = Planner {
+            engine: self,
+            plans: PlanTable::new(),
+        };
+        if vars.is_empty() {
+            planner.formula(&formula)?;
+        } else {
+            planner.node(vars, &formula, GuardMode::Guarded)?;
+        }
+        Ok(Prepared(Arc::new(PreparedInner {
+            formula,
+            vars: vars.to_vec(),
+            plans: planner.plans,
+        })))
+    }
+
+    /// This engine, taking the plans of `p`'s nodes from `p`.
+    fn with_plans<'p>(&'p self, p: &'p Prepared) -> Engine<'p> {
+        Engine {
+            schema: self.schema,
+            opts: self.opts,
+            tables: Arc::clone(&self.tables),
+            metrics: self.metrics.clone(),
+            plans: Some(&p.0.plans),
+        }
+    }
+
+    /// [`eval_truth`](Engine::eval_truth) of a prepared formula: same
+    /// answer, no plan compiled.
+    pub fn eval_prepared(&self, db: &DbState, p: &Prepared, env: &Env) -> TxResult<bool> {
+        self.with_plans(p).eval_truth(db, &p.0.formula, env)
+    }
+
+    /// Enumerate the assignments of the prefix `p` was prepared with
+    /// that can falsify `∀ vars. formula` at `db`: exactly the
+    /// enumeration a `forall` over those variables runs, with the
+    /// verdict left to `visit` (`Ok(false)` stops the enumeration).
+    /// Assignments the plan proves vacuous — an antecedent conjunct of
+    /// the formula is definitely false — are never visited.
+    pub fn for_each_prepared(
+        &self,
+        db: &DbState,
+        p: &Prepared,
+        env: &Env,
+        visit: &mut dyn FnMut(&Env) -> TxResult<bool>,
+    ) -> TxResult<()> {
+        let (vars, cond) = (&p.0.vars, &p.0.formula);
+        self.with_plans(p)
+            .for_each_assignment(db, vars, cond, env, GuardMode::Guarded, visit)
+    }
+
     /// Enumerate the candidate assignments of `vars` under `cond`,
     /// calling `visit` for each extension of `env` in deterministic
     /// order. `visit` returns `Ok(true)` to continue and `Ok(false)` to
     /// stop the whole enumeration (quantifier short-circuit).
     ///
     /// With [`PlanMode::Naive`] this is the definitional bounded-domain
-    /// cross product; with [`PlanMode::Indexed`] the condition is
-    /// compiled to a [`txlog_logic::plan::QuantPlan`] under `mode` and
+    /// cross product; with [`PlanMode::Indexed`] the condition's
+    /// [`txlog_logic::plan::QuantPlan`] under `mode` — taken from the
+    /// [`Prepared`] being evaluated, else compiled here — is
     /// interpreted. Candidates the plan skips are exactly ones whose
     /// condition is definitely `false` in a position `mode` proves
     /// irrelevant, so visitors re-checking the full condition see the
@@ -125,8 +298,15 @@ impl Engine<'_> {
                     .map(|_| ())
             }
             PlanMode::Indexed => {
-                let plan = plan_quantifiers(&self.tables.sig, vars, cond, mode);
-                self.metrics.bump(Counter::PlansCompiled);
+                let compiled;
+                let plan = match self.plans.and_then(|t| t.get(&node_key(cond))) {
+                    Some(prepared) => prepared,
+                    None => {
+                        compiled = plan_quantifiers(&self.tables.sig, vars, cond, mode);
+                        self.metrics.bump(Counter::PlansCompiled);
+                        &compiled
+                    }
+                };
                 let mut cut = false;
                 for pf in &plan.prefilters {
                     // A definitely-false plan-variable-free conjunct

@@ -10,11 +10,16 @@
 //!   nothing is required when the naive path errors.)
 //! * `execute_traced` — `execute` is a thin wrapper over the traced
 //!   executor, and the states they produce must be identical.
+//!
+//! And one identity: a formula prepared once (`Engine::prepare`)
+//! evaluates exactly as it does unprepared — the plans are the same
+//! plans, only compiled earlier.
 
 use proptest::prelude::*;
 use txlog::base::Atom;
 use txlog::engine::{Engine, Env, EvalOptions, PlanMode};
 use txlog::logic::{FFormula, FTerm, Var};
+use txlog::prelude::{Counter, Metrics};
 use txlog::relational::{DbState, Schema};
 
 fn schema() -> Schema {
@@ -185,6 +190,36 @@ proptest! {
         }
     }
 
+    /// Preparing a formula changes when its plans are compiled, not what
+    /// they are: same answer or same error, and no plan compiled while
+    /// evaluating. A universal prefix enumerates what `forall` would.
+    #[test]
+    fn prepared_evaluation_is_unprepared_evaluation(db in db_strategy(), p in formula_strategy()) {
+        let schema = schema();
+        let m = Metrics::enabled();
+        let engine = Engine::builder(&schema).metrics(m.clone()).build().expect("schema builds");
+        let env = Env::new();
+        let want = engine.eval_truth(&db, &p, &env);
+        let prepared = engine.prepare(&[], p.clone()).expect("the pool is well-sorted");
+        m.reset();
+        let got = engine.eval_prepared(&db, &prepared, &env);
+        prop_assert_eq!(m.get(Counter::PlansCompiled), 0);
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            _ => prop_assert!(false, "prepared {got:?} vs unprepared {want:?} for {p:?}"),
+        }
+        if let FFormula::Forall(v, body) = &p {
+            let prefix = engine.prepare(&[*v], (**body).clone()).expect("well-sorted");
+            let mut holds = true;
+            let walked = engine.for_each_prepared(&db, &prefix, &env, &mut |env| {
+                holds = engine.eval_truth(&db, body, env)?;
+                Ok(holds)
+            });
+            prop_assert_eq!(walked.map(|()| holds), want);
+        }
+    }
+
     /// Set-former enumeration is plan-independent: the planned set equals
     /// the naive set (same members, same construction order).
     #[test]
@@ -243,5 +278,21 @@ proptest! {
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "one path failed: plain={a:?} traced={b:?}"),
         }
+    }
+}
+
+/// `prepare` makes, once, the sort check every enumeration would
+/// repeat: a variable bounded by a relation of another arity, or by
+/// one the schema does not declare, is refused up front.
+#[test]
+fn preparing_refuses_ill_sorted_enumerations() {
+    let schema = schema();
+    let engine = Engine::builder(&schema).build().expect("schema builds");
+    let y = Var::tup_f("y", 2);
+    for rel in ["R", "NOWHERE"] {
+        let p = FFormula::exists(y, FFormula::member(FTerm::var(y), FTerm::rel(rel)));
+        assert!(engine.prepare(&[], p.clone()).is_err(), "{p:?}");
+        let db = schema.initial_state();
+        assert!(engine.eval_truth(&db, &p, &Env::new()).is_err(), "{p:?}");
     }
 }
