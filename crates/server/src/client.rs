@@ -206,7 +206,7 @@ impl Client {
                     }
                     ReadOutcome::Disconnected => return Err(ClientError::Disconnected),
                     ReadOutcome::Corrupt(e) => return Err(ClientError::Frame(e)),
-                    ReadOutcome::IdleTimeout | ReadOutcome::Stalled | ReadOutcome::Wake => {
+                    ReadOutcome::IdleTimeout | ReadOutcome::Stalled => {
                         return Err(ClientError::Protocol("blocking read timed out".to_string()))
                     }
                 };
@@ -422,16 +422,13 @@ impl Client {
                 timeout,
                 self.max_frame_len,
                 &|| false,
-                &|| false,
             )
             .map_err(ClientError::Io)?;
             let resp = match outcome {
                 ReadOutcome::Frame(payload) => {
                     Response::decode(&payload).map_err(ClientError::Decode)?
                 }
-                ReadOutcome::IdleTimeout | ReadOutcome::Stalled | ReadOutcome::Wake => {
-                    return Ok(None)
-                }
+                ReadOutcome::IdleTimeout | ReadOutcome::Stalled => return Ok(None),
                 ReadOutcome::Disconnected => return Err(ClientError::Disconnected),
                 ReadOutcome::Corrupt(e) => return Err(ClientError::Frame(e)),
             };

@@ -28,8 +28,19 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// [`io::ErrorKind::InvalidData`] error — a bug in the caller, never a
 /// silently corrupt wire.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> io::Result<()> {
-    let bytes = encode_frame(payload, max)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    write_frames(w, &[payload], max)
+}
+
+/// Write several frames with one `write_all`, as [`write_frame`] does
+/// one: a batch costs one syscall, not one per frame. Nothing is
+/// written if any payload is oversize.
+pub fn write_frames(w: &mut impl Write, payloads: &[impl AsRef<[u8]>], max: u32) -> io::Result<()> {
+    let mut bytes = Vec::new();
+    for payload in payloads {
+        let frame = encode_frame(payload.as_ref(), max)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        bytes.extend_from_slice(&frame);
+    }
     w.write_all(&bytes)?;
     w.flush()
 }
@@ -46,17 +57,14 @@ pub enum ReadOutcome {
     IdleTimeout,
     /// A frame started but did not complete within the read budget.
     Stalled,
-    /// The caller's `wake` callback asked for control back (pending
-    /// out-of-band work, e.g. notification frames to push). Only
-    /// returned between frames — never with a frame partially read —
-    /// so the caller can write to the stream and re-enter.
-    Wake,
     /// The stream's bytes are not a valid frame (bad length or CRC).
     Corrupt(FrameError),
 }
 
 /// Granularity of the read loop's timeout ticks: how often it re-checks
-/// its deadlines and the server's shutdown flag while blocked.
+/// its idle and stall deadlines and the server's shutdown flag while
+/// blocked. Nothing else waits on it: pushed notifications have their
+/// own writer.
 const READ_TICK: Duration = Duration::from_millis(25);
 
 /// Pop a complete frame off the front of `buf`, if one is there.
@@ -84,13 +92,6 @@ fn take_frame(buf: &mut Vec<u8>, max: u32) -> Result<Option<Vec<u8>>, FrameError
 /// frame that has started arriving (that is the graceful-drain
 /// contract: a request already in flight on the wire is either fully
 /// read or the peer disconnects).
-///
-/// The `wake` callback is polled at the same points; returning true
-/// yields [`ReadOutcome::Wake`] so the caller can perform out-of-band
-/// writes (pushed notification frames). It is checked before
-/// `should_stop`, so pending pushes are flushed before a drain closes
-/// the connection, and — like `should_stop` — it never interrupts a
-/// frame mid-read.
 pub fn read_frame_timeout(
     stream: &TcpStream,
     buf: &mut Vec<u8>,
@@ -98,7 +99,6 @@ pub fn read_frame_timeout(
     read: Duration,
     max: u32,
     should_stop: &dyn Fn() -> bool,
-    wake: &dyn Fn() -> bool,
 ) -> io::Result<ReadOutcome> {
     let mut chunk = [0u8; 4096];
     let start = Instant::now();
@@ -107,7 +107,7 @@ pub fn read_frame_timeout(
     } else {
         Some(Instant::now())
     };
-    stream.set_read_timeout(Some(READ_TICK))?;
+    let mut ticking = false;
     loop {
         match take_frame(buf, max) {
             Ok(Some(payload)) => return Ok(ReadOutcome::Frame(payload)),
@@ -116,9 +116,6 @@ pub fn read_frame_timeout(
         }
         match first_byte_at {
             None => {
-                if wake() && buf.is_empty() {
-                    return Ok(ReadOutcome::Wake);
-                }
                 if should_stop() && buf.is_empty() {
                     return Ok(ReadOutcome::IdleTimeout);
                 }
@@ -131,6 +128,11 @@ pub fn read_frame_timeout(
                     return Ok(ReadOutcome::Stalled);
                 }
             }
+        }
+        // Only a read that must wait pays for the `setsockopt`.
+        if !ticking {
+            stream.set_read_timeout(Some(READ_TICK))?;
+            ticking = true;
         }
         match (&*stream).read(&mut chunk) {
             Ok(0) => return Ok(ReadOutcome::Disconnected),
@@ -158,12 +160,16 @@ pub fn read_frame_blocking(
     max: u32,
 ) -> io::Result<ReadOutcome> {
     let mut chunk = [0u8; 4096];
-    stream.set_read_timeout(None)?;
+    let mut blocking = false;
     loop {
         match take_frame(buf, max) {
             Ok(Some(payload)) => return Ok(ReadOutcome::Frame(payload)),
             Ok(None) => {}
             Err(e) => return Ok(ReadOutcome::Corrupt(e)),
+        }
+        if !blocking {
+            stream.set_read_timeout(None)?;
+            blocking = true;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(ReadOutcome::Disconnected),

@@ -20,15 +20,21 @@
 //! [`Request::Shutdown`]) stops admission and asks every worker to
 //! finish. A request already read — including one whose commit is
 //! waiting on the log writer — completes and its response is written;
-//! idle connections get a [`Response::Goodbye`] at the next tick; then
-//! [`Server::join`] returns.
+//! idle connections get their queued notifications and a
+//! [`Response::Goodbye`] at the next tick; then [`Server::join`] returns.
+//!
+//! **Notifications are pushed**, not polled: a connection's first
+//! `Subscribe` spawns a pusher thread that sleeps on its mailbox and
+//! writes each batch of matches the moment a commit anywhere queues it.
+//! The worker and the pusher share the socket's write half; whoever
+//! holds it drains the mailbox, so drain order is wire order.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -40,7 +46,9 @@ use txlog_events::Pattern;
 use txlog_logic::{parse_fformula, parse_fterm, FTerm, ParseCtx};
 use txlog_relational::{DbState, Schema};
 
-use crate::frame::{read_frame_timeout, write_frame, ReadOutcome, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{
+    read_frame_timeout, write_frame, write_frames, ReadOutcome, DEFAULT_MAX_FRAME_LEN,
+};
 use crate::proto::{ErrorCode, Request, Response, WireError, PROTOCOL_VERSION};
 
 /// Tunables for [`Server::bind_with`]. [`Default`] is sized for tests
@@ -308,48 +316,117 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Everything one connection owns: its session (snapshot + commit
-/// pipeline access), its residual receive buffer, the staged
-/// transaction opened by `Begin` (if any), and its subscriptions.
+/// Everything one connection's worker owns: its session (snapshot +
+/// commit pipeline access), the staged transaction opened by `Begin`
+/// (if any), and a handle on its notification mailbox.
 struct Conn<'a> {
     session: Session<'a>,
     ctx: ParseCtx,
     staged: Option<Staged>,
     /// This connection's serial, namespacing its registry names.
     serial: u64,
-    /// Live subscriptions by client-facing name.
-    subs: HashMap<String, SubId>,
-    /// The bounded notification queue, shared with the event hub's
-    /// callbacks (which run on whichever thread commits).
+    /// The bounded notification mailbox, shared with the event hub's
+    /// callbacks (which run on whichever thread commits) and the pusher.
     notify: Arc<NotifyQueue>,
 }
 
 /// The per-connection notification mailbox. Hub callbacks fill it from
-/// committing threads; the connection's worker drains it between
-/// frames ([`ReadOutcome::Wake`]) and after each request.
+/// committing threads and wake the pusher when it stops being empty;
+/// whichever of the worker and the pusher holds the write half drains
+/// it ([`NotifyQueue::flush`]).
 #[derive(Default)]
 struct NotifyQueue {
     inner: Mutex<NotifyInner>,
+    /// Signalled on the empty → non-empty transition and at `stop`.
+    ready: Condvar,
 }
 
 #[derive(Default)]
 struct NotifyInner {
-    /// Frames awaiting the worker: notifications, plus one typed
+    /// Frames awaiting the wire: notifications, plus one typed
     /// overflow error per dropped subscription.
     pending: VecDeque<Response>,
+    /// Live subscriptions by client-facing name.
+    subs: HashMap<String, SubId>,
     /// Subscriptions that overflowed: callbacks stop enqueueing for
-    /// them, and the worker unregisters them at the next flush.
+    /// them.
     dead: BTreeSet<String>,
-    /// Dead subscriptions not yet unregistered from the database.
+    /// Dead subscriptions the next drain unregisters from the database.
     to_drop: Vec<String>,
+    /// The connection is ending: the pusher exits.
+    stop: bool,
+}
+
+/// Lock, shrugging off poison: every critical section here leaves its
+/// data consistent, so a panicking holder cannot have torn it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl NotifyQueue {
-    fn has_pending(&self) -> bool {
-        self.inner
-            .lock()
-            .map(|i| !i.pending.is_empty() || !i.to_drop.is_empty())
-            .unwrap_or(false)
+    /// Drain the mailbox onto the wire: unregister overflowed
+    /// subscriptions, then write every queued frame (matches and typed
+    /// overflow errors) in arrival order with one write. `out` is the
+    /// locked write half — taken before the mailbox lock, by the worker
+    /// and the pusher alike — so drain order is wire order.
+    fn flush(&self, shared: &Shared, out: &mut TcpStream) -> io::Result<()> {
+        let (frames, drops): (Vec<Response>, Vec<SubId>) = {
+            let inner = &mut *lock(&self.inner);
+            let subs = &mut inner.subs;
+            let drops = inner
+                .to_drop
+                .drain(..)
+                .filter_map(|name| subs.remove(&name));
+            (inner.pending.drain(..).collect(), drops.collect())
+        };
+        for id in drops {
+            shared.db.unsubscribe(id);
+        }
+        let payloads: Vec<Vec<u8>> = frames.iter().map(Response::encode).collect();
+        write_frames(out, &payloads, shared.cfg.max_frame_len)?;
+        shared
+            .metrics()
+            .add(Counter::ServerFramesOut, frames.len() as u64);
+        Ok(())
+    }
+}
+
+/// The pusher: sleep until the mailbox fills, then drain it under the
+/// write half. Exits at `stop` or when the peer stops reading; the
+/// worker flushes whatever is left.
+fn push_loop(shared: &Shared, mailbox: &NotifyQueue, out: &Mutex<TcpStream>) {
+    loop {
+        let inner = mailbox
+            .ready
+            .wait_while(lock(&mailbox.inner), |i| i.pending.is_empty() && !i.stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        if inner.stop {
+            return;
+        }
+        drop(inner);
+        if mailbox.flush(shared, &mut lock(out)).is_err() {
+            return;
+        }
+    }
+}
+
+/// Ends a connection's pushing however its worker leaves (a panic
+/// included): stops the pusher, so the thread scope can join it, and
+/// releases the subscriptions, so the hub stops filling a mailbox
+/// nobody will drain.
+struct Hangup<'a>(&'a Shared, &'a NotifyQueue);
+
+impl Drop for Hangup<'_> {
+    fn drop(&mut self) {
+        let subs: Vec<SubId> = {
+            let mut inner = lock(&self.1.inner);
+            inner.stop = true;
+            inner.subs.drain().map(|(_, id)| id).collect()
+        };
+        self.1.ready.notify_one();
+        for id in subs {
+            self.0.db.unsubscribe(id);
+        }
     }
 }
 
@@ -363,22 +440,38 @@ struct Staged {
 
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
+    // The write half. The worker holds it from reading a request until
+    // that request's response and own matches are written; the pusher
+    // holds it while it writes a batch.
+    let Ok(out) = stream.try_clone().map(Mutex::new) else {
+        return;
+    };
     let mut buf: Vec<u8> = Vec::new();
     let metrics = shared.metrics().clone();
-    let send = |stream: &mut TcpStream, resp: &Response| -> io::Result<()> {
-        write_frame(stream, &resp.encode(), shared.cfg.max_frame_len)?;
+    let mailbox = Arc::new(NotifyQueue::default());
+    let send = |out: &mut TcpStream, resp: &Response| -> io::Result<()> {
+        write_frame(out, &resp.encode(), shared.cfg.max_frame_len)?;
         metrics.bump(Counter::ServerFramesOut);
         Ok(())
     };
+    // Queued notifications go out before the farewell: a drain loses
+    // responses, never pushed matches.
+    let farewell = |bye: Option<Response>| {
+        if let Some(resp) = bye {
+            let mut w = lock(&out);
+            let _ = w.set_write_timeout(Some(Duration::from_secs(1)));
+            let _ = mailbox
+                .flush(shared, &mut w)
+                .and_then(|()| send(&mut w, &resp));
+        }
+    };
 
     // ---- handshake: the first frame must be a matching Hello ----
-    // No subscriptions can exist yet, so there is nothing to wake for.
-    let payload = match read_one(shared, &stream, &mut buf, &metrics, &|| false) {
-        ReadOne::Frame(p) => p,
-        ReadOne::Wake | ReadOne::Closed => return,
+    let payload = match read_one(shared, &stream, &mut buf, &metrics) {
+        Ok(p) => p,
+        Err(bye) => return farewell(bye),
     };
-    match Request::decode(&payload) {
+    let greeting = match Request::decode(&payload) {
         Ok(Request::Hello { protocol, .. }) if protocol == PROTOCOL_VERSION => {
             let relations = shared
                 .db
@@ -387,36 +480,31 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                 .iter()
                 .map(|d| d.name.to_string())
                 .collect();
-            let welcome = Response::Welcome {
+            Ok(Response::Welcome {
                 protocol: PROTOCOL_VERSION,
                 server: shared.cfg.server_name.clone(),
                 head_version: shared.db.head_version(),
                 relations,
-            };
-            if send(&mut stream, &welcome).is_err() {
-                return;
-            }
+            })
         }
-        Ok(Request::Hello { protocol, .. }) => {
-            let err = WireError::new(
-                ErrorCode::Protocol,
-                format!("server speaks protocol {PROTOCOL_VERSION}, client sent {protocol}"),
-            )
-            .with_detail(u64::from(PROTOCOL_VERSION));
-            let _ = send(&mut stream, &Response::Error(err));
-            return;
-        }
-        Ok(_) => {
-            let err = WireError::new(ErrorCode::Protocol, "expected Hello as the first request");
-            let _ = send(&mut stream, &Response::Error(err));
-            return;
-        }
+        Ok(Request::Hello { protocol, .. }) => Err(WireError::new(
+            ErrorCode::Protocol,
+            format!("server speaks protocol {PROTOCOL_VERSION}, client sent {protocol}"),
+        )
+        .with_detail(u64::from(PROTOCOL_VERSION))),
+        Ok(_) => Err(WireError::new(
+            ErrorCode::Protocol,
+            "expected Hello as the first request",
+        )),
         Err(e) => {
             metrics.bump(Counter::ServerDecodeErrors);
-            let err = WireError::new(ErrorCode::Decode, e.to_string());
-            let _ = send(&mut stream, &Response::Error(err));
-            return;
+            Err(WireError::new(ErrorCode::Decode, e.to_string()))
         }
+    };
+    let welcomed = matches!(greeting, Ok(Response::Welcome { .. }));
+    let greeting = greeting.unwrap_or_else(Response::Error);
+    if send(&mut lock(&out), &greeting).is_err() || !welcomed {
+        return;
     }
 
     let mut conn = Conn {
@@ -424,110 +512,63 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         ctx: ParseCtx::new(shared.db.schema().decls().iter().map(|d| d.name)),
         staged: None,
         serial: shared.next_conn.fetch_add(1, Ordering::AcqRel),
-        subs: HashMap::new(),
-        notify: Arc::new(NotifyQueue::default()),
+        notify: Arc::clone(&mailbox),
     };
-    // The wake closure must not borrow `conn` (the loop body holds it
-    // mutably), so it watches the mailbox through its own handle.
-    let mailbox = Arc::clone(&conn.notify);
 
     // ---- request loop ----
-    loop {
-        let payload = match read_one(shared, &stream, &mut buf, &metrics, &|| {
-            mailbox.has_pending()
-        }) {
-            ReadOne::Frame(p) => p,
-            ReadOne::Wake => {
-                // Notifications from other connections' commits landed
-                // while this one sat idle between frames.
-                if flush_notifications(shared, &mut conn, &mut stream).is_err() {
-                    break;
+    std::thread::scope(|scope| {
+        let hangup = Hangup(shared, &mailbox);
+        let mut pusher = None;
+        let bye = loop {
+            let payload = match read_one(shared, &stream, &mut buf, &metrics) {
+                Ok(p) => p,
+                Err(bye) => break bye,
+            };
+            let mut w = lock(&out);
+            let resp = {
+                let _span = metrics.span("server.request");
+                match Request::decode(&payload) {
+                    Ok(req) => handle_request(shared, &mut conn, req),
+                    Err(e) => {
+                        metrics.bump(Counter::ServerDecodeErrors);
+                        // The frame checksum held, so the stream is still
+                        // in sync: report and keep the connection.
+                        Response::Error(WireError::new(ErrorCode::Decode, e.to_string()))
+                    }
                 }
-                continue;
+            };
+            // Matches this very request produced (dispatch is
+            // synchronous with commit) follow its response directly.
+            if send(&mut w, &resp)
+                .and_then(|()| mailbox.flush(shared, &mut w))
+                .is_err()
+            {
+                break None;
             }
-            ReadOne::Closed => break,
-        };
-        let resp = {
-            let _span = metrics.span("server.request");
-            match Request::decode(&payload) {
-                Ok(req) => handle_request(shared, &mut conn, req),
-                Err(e) => {
-                    metrics.bump(Counter::ServerDecodeErrors);
-                    // The frame checksum held, so the stream is still in
-                    // sync: report and keep the connection.
-                    Response::Error(WireError::new(ErrorCode::Decode, e.to_string()))
-                }
+            drop(w);
+            if pusher.is_none() && matches!(resp, Response::Subscribed { .. }) {
+                pusher = std::thread::Builder::new()
+                    .name(format!("txlog-push-{}", conn.serial))
+                    .spawn_scoped(scope, || push_loop(shared, &mailbox, &out))
+                    .ok();
             }
         };
-        if send(&mut stream, &resp).is_err() {
-            break;
+        drop(hangup);
+        if let Some(p) = pusher {
+            let _ = p.join();
         }
-        // Matches this very request produced (dispatch is synchronous
-        // with commit) go out now, not at the next read tick.
-        if flush_notifications(shared, &mut conn, &mut stream).is_err() {
-            break;
-        }
-    }
-
-    // The connection is done; release its subscriptions so the hub
-    // stops filling a mailbox nobody will drain.
-    for (_, id) in conn.subs.drain() {
-        shared.db.unsubscribe(id);
-    }
+        farewell(bye);
+    });
 }
 
-/// Drain the connection's notification mailbox: first unregister
-/// overflowed subscriptions from the database, then write every queued
-/// frame (matches and typed overflow errors) in arrival order. Called
-/// after each response and whenever the read loop wakes with pending
-/// frames.
-fn flush_notifications(
-    shared: &Shared,
-    conn: &mut Conn<'_>,
-    stream: &mut TcpStream,
-) -> io::Result<()> {
-    let (frames, drops) = {
-        let Ok(mut inner) = conn.notify.inner.lock() else {
-            return Ok(());
-        };
-        (
-            inner.pending.drain(..).collect::<Vec<_>>(),
-            std::mem::take(&mut inner.to_drop),
-        )
-    };
-    for name in drops {
-        if let Some(id) = conn.subs.remove(&name) {
-            shared.db.unsubscribe(id);
-        }
-    }
-    for resp in frames {
-        write_frame(stream, &resp.encode(), shared.cfg.max_frame_len)?;
-        shared.metrics().bump(Counter::ServerFramesOut);
-    }
-    Ok(())
-}
-
-/// What one read attempt produced for the connection loop.
-enum ReadOne {
-    /// A complete request frame.
-    Frame(Vec<u8>),
-    /// No frame yet, but the wake predicate fired: the caller has
-    /// notifications to flush before reading again.
-    Wake,
-    /// The connection is finished (the farewell, if any, has been
-    /// written).
-    Closed,
-}
-
-/// Read one frame for the connection loop, translating every
-/// non-frame outcome into the right farewell.
+/// Read one request frame for the connection loop. Anything else ends
+/// the connection; the error carries the farewell owed to the peer.
 fn read_one(
     shared: &Shared,
     stream: &TcpStream,
     buf: &mut Vec<u8>,
     metrics: &Metrics,
-    wake: &dyn Fn() -> bool,
-) -> ReadOne {
+) -> Result<Vec<u8>, Option<Response>> {
     let outcome = read_frame_timeout(
         stream,
         buf,
@@ -535,52 +576,36 @@ fn read_one(
         shared.cfg.read_timeout,
         shared.cfg.max_frame_len,
         &|| shared.stopping(),
-        wake,
     );
-    let farewell = |resp: Response| {
-        let mut s = stream;
-        let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
-        if write_frame(&mut s, &resp.encode(), shared.cfg.max_frame_len).is_ok() {
-            metrics.bump(Counter::ServerFramesOut);
-        }
-        let _ = s.flush();
-    };
     match outcome {
         Ok(ReadOutcome::Frame(p)) => {
             metrics.bump(Counter::ServerFramesIn);
-            ReadOne::Frame(p)
+            Ok(p)
         }
-        Ok(ReadOutcome::Wake) => ReadOne::Wake,
-        Ok(ReadOutcome::Disconnected) => ReadOne::Closed,
+        Ok(ReadOutcome::Disconnected) | Err(_) => Err(None),
         Ok(ReadOutcome::IdleTimeout) => {
             let reason = if shared.stopping() {
                 "server shutting down"
             } else {
                 "idle timeout"
             };
-            farewell(Response::Goodbye {
+            Err(Some(Response::Goodbye {
                 reason: reason.to_string(),
-            });
-            ReadOne::Closed
+            }))
         }
-        Ok(ReadOutcome::Stalled) => {
-            farewell(Response::Error(WireError::new(
-                ErrorCode::Protocol,
-                "request frame stalled mid-read",
-            )));
-            ReadOne::Closed
-        }
+        Ok(ReadOutcome::Stalled) => Err(Some(Response::Error(WireError::new(
+            ErrorCode::Protocol,
+            "request frame stalled mid-read",
+        )))),
         Ok(ReadOutcome::Corrupt(e)) => {
             // A bad length or checksum means framing is lost; nothing
             // after this point on the stream can be trusted.
             metrics.bump(Counter::ServerDecodeErrors);
-            farewell(Response::Error(WireError::new(
+            Err(Some(Response::Error(WireError::new(
                 ErrorCode::Decode,
                 e.to_string(),
-            )));
-            ReadOne::Closed
+            ))))
         }
-        Err(_) => ReadOne::Closed,
     }
 }
 
@@ -668,16 +693,20 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
             Response::ShuttingDown
         }
         Request::Subscribe { name, pattern } => subscribe(shared, conn, name, &pattern),
-        Request::Unsubscribe { name } => match conn.subs.remove(&name) {
-            Some(id) => {
-                shared.db.unsubscribe(id);
-                Response::Unsubscribed { name }
+        Request::Unsubscribe { name } => {
+            // Release the mailbox before the hub lock `unsubscribe` takes.
+            let id = lock(&conn.notify.inner).subs.remove(&name);
+            match id {
+                Some(id) => {
+                    shared.db.unsubscribe(id);
+                    Response::Unsubscribed { name }
+                }
+                None => Response::Error(WireError::new(
+                    ErrorCode::BadState,
+                    format!("no subscription named {name}"),
+                )),
             }
-            None => Response::Error(WireError::new(
-                ErrorCode::BadState,
-                format!("no subscription named {name}"),
-            )),
-        },
+        }
     }
 }
 
@@ -686,7 +715,7 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
 /// may both subscribe as "fires"), and wire the hub callback to the
 /// connection's bounded mailbox.
 fn subscribe(shared: &Shared, conn: &mut Conn<'_>, name: String, pattern: &str) -> Response {
-    if conn.subs.contains_key(&name) {
+    if lock(&conn.notify.inner).subs.contains_key(&name) {
         return Response::Error(WireError::new(
             ErrorCode::BadState,
             format!("a subscription named {name} is already active"),
@@ -701,12 +730,10 @@ fn subscribe(shared: &Shared, conn: &mut Conn<'_>, name: String, pattern: &str) 
     let cap = shared.cfg.notify_queue.max(1);
     let sub = name.clone();
     let callback: EventCallback = Arc::new(move |n| {
-        let Ok(mut inner) = mailbox.inner.lock() else {
-            return;
-        };
+        let mut inner = lock(&mailbox.inner);
         if inner.dead.contains(&sub) {
-            // Overflowed earlier in this flush window; the worker has
-            // not unregistered it from the hub yet.
+            // Overflowed earlier in this flush window; the next drain
+            // unregisters it from the hub.
             metrics.bump(Counter::EvtNotificationsDropped);
             return;
         }
@@ -738,16 +765,18 @@ fn subscribe(shared: &Shared, conn: &mut Conn<'_>, name: String, pattern: &str) 
             version: n.version,
             binding,
         });
+        if inner.pending.len() == 1 {
+            mailbox.ready.notify_one();
+        }
     });
     let registry = format!("wire-{}/{}", conn.serial, name);
     match shared.db.subscribe_pattern(&registry, &parsed, callback) {
         Ok(id) => {
             // A name freed by overflow may be reused once the client
             // has seen the error frame.
-            if let Ok(mut inner) = conn.notify.inner.lock() {
-                inner.dead.remove(&name);
-            }
-            conn.subs.insert(name.clone(), id);
+            let mut inner = lock(&conn.notify.inner);
+            inner.dead.remove(&name);
+            inner.subs.insert(name.clone(), id);
             Response::Subscribed { name }
         }
         Err(e) => Response::Error(WireError::new(ErrorCode::Execution, e.to_string())),

@@ -638,3 +638,252 @@ fn concurrent_clients_commit_disjoint_relations_without_protocol_errors() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn idle_subscriber_is_pushed_to_not_polled() {
+    // Ping-pong: one connection commits a match, an idle one waits for
+    // it. A subscriber only flushed at its read loop's 25 ms tick would
+    // need ~12.5 ms a round (≈ 625 ms for 50); a pushed one needs the
+    // commit's own round trip, far under the 250 ms bound.
+    let server = serve(crew_db(), quick_cfg());
+    let addr = server.local_addr();
+    let mut sub = Client::connect(addr, "idle").expect("connects");
+    sub.subscribe("arrivals", "insert(CREW, N, R)")
+        .expect("registers");
+    let mut committer = Client::connect(addr, "committer").expect("connects");
+    let rounds = 50;
+    let start = std::time::Instant::now();
+    for i in 0..rounds {
+        let c = committer
+            .execute("ping", &format!("insert(tuple('p{i}', {i}), CREW)"))
+            .expect("commit installs");
+        match sub
+            .next_notification(Duration::from_secs(5))
+            .expect("push channel stays healthy")
+        {
+            Some(NotificationEvent::Match(n)) => assert_eq!(n.version, c.version),
+            other => panic!("round {i}: expected the match, got {other:?}"),
+        }
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "{rounds} pushed rounds took {took:?}; a polled subscriber would need ~625 ms"
+    );
+    server.shutdown();
+    server.join();
+}
+
+/// A connection read frame by frame, so a test can see where pushed
+/// notifications fall relative to the replies around them.
+struct RawConn {
+    stream: std::net::TcpStream,
+    buf: Vec<u8>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> RawConn {
+        let stream = std::net::TcpStream::connect(addr).expect("connects");
+        let mut raw = RawConn {
+            stream,
+            buf: Vec::new(),
+        };
+        raw.send(&Request::Hello {
+            protocol: PROTOCOL_VERSION,
+            client: "raw".to_string(),
+        });
+        match raw.next() {
+            Response::Welcome { .. } => raw,
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+    }
+
+    fn send(&mut self, req: &Request) {
+        txlog::server::frame::write_frame(&mut self.stream, &req.encode(), u32::MAX)
+            .expect("request leaves");
+    }
+
+    fn next(&mut self) -> Response {
+        let wait = Duration::from_secs(5);
+        match txlog::server::frame::read_frame_timeout(
+            &self.stream,
+            &mut self.buf,
+            wait,
+            wait,
+            u32::MAX,
+            &|| false,
+        )
+        .expect("socket healthy")
+        {
+            txlog::server::frame::ReadOutcome::Frame(p) => Response::decode(&p).expect("decodes"),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn concurrent_commits_push_each_match_once_in_order_behind_the_reply() {
+    // Two producer connections commit concurrently while the
+    // subscriber's own connection commits too: 300 commits in all.
+    // Each connection writes its own relation, so no commit conflicts.
+    const PER_PRODUCER: usize = 120;
+    const OWN: usize = 60;
+    let mut schema = Schema::new();
+    for r in 0..3 {
+        schema = schema
+            .relation(&format!("R{r}"), &[&format!("k{r}"), &format!("v{r}")])
+            .expect("relation declares");
+    }
+    let db = Database::builder(schema).build().expect("database builds");
+    let server = serve(Arc::new(db), quick_cfg());
+    let addr = server.local_addr();
+    let mut sub = RawConn::connect(addr);
+    let mut pushed: Vec<(String, u64)> = Vec::new();
+    let any =
+        |v: &str| format!("or(or(insert(R0, K, {v}), insert(R1, K, {v})), insert(R2, K, {v}))");
+    for (name, pattern) in [("all", any("V")), ("ones", any("1"))] {
+        sub.send(&Request::Subscribe {
+            name: name.to_string(),
+            pattern,
+        });
+        match sub.next() {
+            Response::Subscribed { .. } => {}
+            other => panic!("expected Subscribed, got {other:?}"),
+        }
+    }
+
+    let producers: Vec<_> = (0..2)
+        .map(|p| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr, "producer").expect("connects");
+                (0..PER_PRODUCER)
+                    .map(|i| {
+                        let rank = i % 3;
+                        let v = c
+                            .execute("p", &format!("insert(tuple('p-{i}', {rank}), R{p})"))
+                            .expect("commit installs")
+                            .version;
+                        (v, rank)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+
+    // The subscriber's own commits: every notification on the wire
+    // before an `Executed{v}` reply is for an earlier version, so the
+    // reply precedes the matches its own commit produced.
+    let mut commits: Vec<(u64, usize)> = Vec::new();
+    for i in 0..OWN {
+        let rank = i % 3;
+        sub.send(&Request::Execute {
+            label: "own".to_string(),
+            program: format!("insert(tuple('own-{i}', {rank}), R2)"),
+        });
+        loop {
+            match sub.next() {
+                Response::Notification { name, version, .. } => pushed.push((name, version)),
+                Response::Executed { version, .. } => {
+                    if let Some((name, seen)) = pushed.iter().find(|(_, seen)| *seen >= version) {
+                        panic!("{name} pushed version {seen} before the reply for {version}");
+                    }
+                    commits.push((version, rank));
+                    break;
+                }
+                other => panic!("expected Executed, got {other:?}"),
+            }
+        }
+    }
+    for p in producers {
+        commits.extend(p.join().expect("producer joins"));
+    }
+    assert_eq!(commits.len(), 2 * PER_PRODUCER + OWN);
+    commits.sort_unstable();
+
+    let want = |name: &str| -> Vec<u64> {
+        commits
+            .iter()
+            .filter(|(_, rank)| name == "all" || *rank == 1)
+            .map(|(v, _)| *v)
+            .collect()
+    };
+    let total = want("all").len() + want("ones").len();
+    while pushed.len() < total {
+        match sub.next() {
+            Response::Notification { name, version, .. } => pushed.push((name, version)),
+            other => panic!("expected a notification, got {other:?}"),
+        }
+    }
+    for name in ["all", "ones"] {
+        let got: Vec<u64> = pushed
+            .iter()
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(
+            got,
+            want(name),
+            "{name}: every match exactly once, in commit-version order"
+        );
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn abruptly_dropped_subscriber_leaves_no_pusher_or_subscription_behind() {
+    let db = crew_db();
+    let server = serve(Arc::clone(&db), quick_cfg());
+    let addr = server.local_addr();
+    let mut sub = Client::connect(addr, "vanishing").expect("connects");
+    sub.subscribe("arrivals", "insert(CREW, N, R)")
+        .expect("registers");
+    let mut committer = Client::connect(addr, "committer").expect("connects");
+    committer
+        .execute("first", "insert(tuple('ada', 1), CREW)")
+        .expect("commit installs");
+    assert!(
+        matches!(
+            sub.next_notification(Duration::from_secs(5)),
+            Ok(Some(NotificationEvent::Match(_)))
+        ),
+        "the pusher delivers while the subscriber lives"
+    );
+    // Gone without unsubscribing: the server must notice and release.
+    drop(sub);
+
+    let sent = || db.metrics().get(Counter::EvtNotificationsSent);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    for i in 0.. {
+        let before = sent();
+        committer
+            .execute("later", &format!("insert(tuple('l{i}', 2), CREW)"))
+            .expect("commit installs");
+        if sent() == before {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dead connection's subscription still matches after 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let before = sent();
+    committer
+        .execute("quiet", "insert(tuple('zed', 3), CREW)")
+        .expect("commit installs");
+    assert_eq!(sent(), before, "no subscription outlived its connection");
+
+    // No pusher outlived it either: the drain joins every worker, and a
+    // worker returns only after its pusher is joined.
+    drop(committer);
+    server.shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown + join returns");
+}
