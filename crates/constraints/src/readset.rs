@@ -41,6 +41,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use txlog_base::Symbol;
+use txlog_engine::model::find_smembership;
+use txlog_logic::plan::find_membership_rel;
 use txlog_logic::{FFormula, FTerm, ObjSort, SFormula, STerm, Sort, Var, VarClass};
 use txlog_relational::{Delta, Schema};
 
@@ -104,14 +106,7 @@ impl ReadSet {
     /// Does `delta` touch any relation in this read-set? Relations the
     /// schema does not name are treated as touched (conservative).
     pub fn overlaps(&self, schema: &Schema, delta: &Delta) -> bool {
-        match self {
-            ReadSet::All => !delta.is_empty(),
-            ReadSet::Rels(rels) => delta.touched().any(|rid| {
-                schema
-                    .by_id(rid)
-                    .map_or(true, |decl| rels.contains(&decl.name))
-            }),
-        }
+        delta.overlaps(schema, self.names())
     }
 }
 
@@ -310,19 +305,6 @@ fn walk_state_fluent(e: &FTerm, acc: &mut Acc) {
     }
 }
 
-/// Mirror of `Model`'s `find_smembership`: a conjunct `v ∈ S` restricting
-/// situational variable `v`, through conjunctions, implication
-/// antecedents, and differently-named quantifiers.
-fn find_smembership(p: &SFormula, v: Var) -> Option<&STerm> {
-    match p {
-        SFormula::Member(STerm::Var(x), set) if *x == v => Some(set),
-        SFormula::And(a, b) => find_smembership(a, v).or_else(|| find_smembership(b, v)),
-        SFormula::Implies(a, _) => find_smembership(a, v),
-        SFormula::Forall(x, q) | SFormula::Exists(x, q) if *x != v => find_smembership(q, v),
-        _ => None,
-    }
-}
-
 // ---------------------------------------------------------------------
 // vacuity guards for fluent tuple variables
 // ---------------------------------------------------------------------
@@ -506,16 +488,6 @@ fn walk_fquantifier(v: Var, body: &FFormula, acc: &mut Acc) {
             None => acc.poison(),
         },
         _ => acc.poison(),
-    }
-}
-
-/// Mirror of the engine's `find_membership_rel`: a conjunct `v ∈ R`.
-fn find_membership_rel(p: &FFormula, v: Var) -> Option<Symbol> {
-    match p {
-        FFormula::Member(FTerm::Var(x), FTerm::Rel(r)) if *x == v => Some(*r),
-        FFormula::And(a, b) => find_membership_rel(a, v).or_else(|| find_membership_rel(b, v)),
-        FFormula::Implies(a, _) => find_membership_rel(a, v),
-        _ => None,
     }
 }
 

@@ -219,7 +219,8 @@ impl Database {
     /// deterministic simulator ([`crate::sim`]) schedules interleavings
     /// and injects faults. Also threads the hook into the write-ahead
     /// log, when one is attached. Without a hook the seam is a single
-    /// `Option` branch per point (measured by the `b11_sim` bench).
+    /// `Option` branch per point (held no slower than a no-op hook by
+    /// `model_check.rs`'s `disarmed_seam_commits_no_slower_than_a_noop_hook`).
     pub fn set_step_hook(&mut self, hook: Arc<dyn StepHook>) {
         if let Some(c) = &self.committer {
             c.set_hook(Arc::clone(&hook));

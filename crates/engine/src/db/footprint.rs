@@ -35,18 +35,6 @@ pub struct Footprint {
     writes: Option<BTreeSet<Symbol>>,
 }
 
-/// Whether a (possibly unbounded) relation set intersects the relations
-/// a delta touched. Unbounded sets overlap every non-empty delta;
-/// relations the schema does not know are treated as overlapping.
-fn set_overlaps_delta(set: &Option<BTreeSet<Symbol>>, schema: &Schema, delta: &Delta) -> bool {
-    match set {
-        None => !delta.is_empty(),
-        Some(rels) => delta
-            .touched()
-            .any(|rid| schema.by_id(rid).map_or(true, |d| rels.contains(&d.name))),
-    }
-}
-
 impl Footprint {
     /// The unbounded footprint: may read and write anything.
     pub fn all() -> Footprint {
@@ -153,20 +141,19 @@ impl Footprint {
     /// Whether the full footprint (reads ∪ writes) intersects the
     /// relations a delta touched — the snapshot-isolation conflict test.
     pub fn overlaps_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.reads, schema, delta)
-            || set_overlaps_delta(&self.writes, schema, delta)
+        delta.overlaps(schema, self.reads.as_ref()) || delta.overlaps(schema, self.writes.as_ref())
     }
 
     /// Whether the write set intersects the relations a delta touched —
     /// the read-committed (first-committer-wins) conflict test.
     pub fn writes_overlap_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.writes, schema, delta)
+        delta.overlaps(schema, self.writes.as_ref())
     }
 
     /// Whether the read set intersects the relations a delta touched —
     /// the serializable read-certification test.
     pub fn reads_overlap_delta(&self, schema: &Schema, delta: &Delta) -> bool {
-        set_overlaps_delta(&self.reads, schema, delta)
+        delta.overlaps(schema, self.reads.as_ref())
     }
 }
 

@@ -447,21 +447,23 @@ impl GroupCommitter {
     /// A batch (or checkpoint) write failed with the wal poisoned or an
     /// installed version stranded: poison everything. Inflight waiters
     /// get the real error; queued-but-undrained waiters get `Poisoned`
-    /// (their records were never written).
+    /// (their records were never written). The queue is poisoned before
+    /// any waiter wakes, so a commit submitted after an acknowledged
+    /// failure is refused rather than installed.
     fn fail_batch(&self, pump: &mut PumpState, e: &WalError) {
         let detail = e.to_string();
         if !pump.wal.is_poisoned() {
             pump.wal
                 .poison_external(format!("group batch write failed: {detail}"));
         }
+        let mut q = self.queue.lock().expect("queue lock");
+        q.poisoned = Some(detail.clone());
         let ack = AckError::from_wal(e);
         for sub in pump.inflight.drain(..) {
             sub.slot.fill(Err(ack.clone()));
         }
         pump.appended = 0;
         pump.pending_checkpoint = false;
-        let mut q = self.queue.lock().expect("queue lock");
-        q.poisoned = Some(detail.clone());
         for sub in q.items.drain(..) {
             sub.slot.fill(Err(AckError::Poisoned {
                 detail: detail.clone(),

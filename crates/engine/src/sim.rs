@@ -149,7 +149,8 @@ pub enum ProtocolBug {
 /// The simulation seam [`Database::set_step_hook`] installs: the commit
 /// and WAL pipelines announce every decision point and honor the
 /// returned action. Absent a hook both pipelines pay one `Option`
-/// branch per point (see the `b11_sim` bench).
+/// branch per point (see `disarmed_seam_commits_no_slower_than_a_noop_hook`
+/// in `tests/tests/model_check.rs`).
 pub trait StepHook: Send + Sync {
     /// Announce a decision point; the return value tells the pipeline
     /// how to proceed.

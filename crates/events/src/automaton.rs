@@ -6,7 +6,9 @@
 //! advance joins only this commit's new matches against the tables
 //! instead of rescanning the history. The per-commit cost is therefore
 //! proportional to the delta (times the join fan-out), never to the
-//! number of commits already processed; `b15_events` pins this.
+//! number of commits already processed. `prop_events.rs`'s
+//! `automaton_work_per_commit_is_independent_of_history_depth` pins
+//! this as an exact `evt_steps` count.
 //!
 //! The node semantics mirror [`crate::naive`], the executable
 //! specification, exactly:

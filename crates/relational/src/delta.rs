@@ -28,11 +28,12 @@
 //! incremental constraint checker builds on exactly this agreement.
 
 use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::state::DbState;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use txlog_base::{Atom, RelId, TupleId, TxResult};
+use txlog_base::{Atom, RelId, Symbol, TupleId, TxResult};
 
 /// An old/new pair of field vectors for one modified tuple.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -299,6 +300,18 @@ impl Delta {
     /// Identities of all touched relations, in deterministic order.
     pub fn touched(&self) -> impl Iterator<Item = RelId> + '_ {
         self.rels().map(|(id, _)| id)
+    }
+
+    /// Whether this delta touches any of the named relations; `None`
+    /// names every relation, so it overlaps any non-empty delta.
+    /// Relations the schema does not know are treated as overlapping.
+    pub fn overlaps(&self, schema: &Schema, rels: Option<&BTreeSet<Symbol>>) -> bool {
+        match rels {
+            None => !self.is_empty(),
+            Some(rels) => self
+                .touched()
+                .any(|rid| schema.by_id(rid).map_or(true, |d| rels.contains(&d.name))),
+        }
     }
 
     /// Total number of tuple-level changes across all relations.

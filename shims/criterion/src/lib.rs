@@ -3,20 +3,18 @@
 //! The build environment has no registry access, so this workspace ships a
 //! small wall-clock benchmark harness with criterion's API shape:
 //! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`BenchmarkId`],
-//! [`Throughput`], `criterion_group!` / `criterion_main!`, and
-//! [`black_box`]. Statistics are deliberately simple — warm up, run a
-//! fixed measurement budget, report mean ns/iter (and throughput when
-//! declared) on stdout. Good enough to compare implementations by orders
-//! of magnitude; not a replacement for criterion's statistics.
+//! [`Throughput`] and `criterion_group!` / `criterion_main!`. Statistics
+//! are deliberately simple — warm up, run a fixed measurement budget,
+//! report mean ns/iter (and throughput when declared) on stdout. Good
+//! enough to compare implementations by orders of magnitude; not a
+//! replacement for criterion's statistics.
 
 use std::fmt;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
 
 /// Top-level benchmark driver.
 pub struct Criterion {
-    sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
 }
@@ -24,7 +22,6 @@ pub struct Criterion {
 impl Default for Criterion {
     fn default() -> Criterion {
         Criterion {
-            sample_size: 20,
             measurement_time: Duration::from_millis(300),
             warm_up_time: Duration::from_millis(30),
         }
@@ -34,12 +31,6 @@ impl Default for Criterion {
 impl Criterion {
     /// Accepted for API compatibility; command-line parsing is a no-op.
     pub fn configure_from_args(self) -> Criterion {
-        self
-    }
-
-    /// Set the number of samples (scales the measurement budget).
-    pub fn sample_size(mut self, n: usize) -> Criterion {
-        self.sample_size = n.max(1);
         self
     }
 
@@ -60,8 +51,6 @@ impl Criterion {
         BenchmarkGroup {
             _criterion: self,
             name: name.into(),
-            sample_size: None,
-            measurement_time: None,
             throughput: None,
         }
     }
@@ -87,21 +76,13 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
-    sample_size: Option<usize>,
-    measurement_time: Option<Duration>,
     throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Set the number of samples for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = Some(n.max(1));
-        self
-    }
-
-    /// Set the measurement budget for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement_time = Some(d);
+    /// Accepted for API compatibility; the measurement budget is the
+    /// driver's, whatever the sample count.
+    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
 
@@ -120,8 +101,7 @@ impl BenchmarkGroup<'_> {
         run_one(
             &label,
             self._criterion.warm_up_time,
-            self.measurement_time
-                .unwrap_or(self._criterion.measurement_time),
+            self._criterion.measurement_time,
             self.throughput,
             &mut f,
         );
@@ -209,13 +189,8 @@ fn run_one<F: FnMut(&mut Bencher)>(
     f(&mut b);
     let (elapsed, n) = b.result.expect("iter was called during calibration");
     let ns = elapsed.as_nanos() as f64 / n as f64;
-    let rate = throughput.map_or(String::new(), |t| match t {
-        Throughput::Elements(e) => {
-            format!("  [{:.3e} elem/s]", e as f64 * 1e9 / ns)
-        }
-        Throughput::Bytes(bts) => {
-            format!("  [{:.3e} B/s]", bts as f64 * 1e9 / ns)
-        }
+    let rate = throughput.map_or(String::new(), |Throughput::Elements(e)| {
+        format!("  [{:.3e} elem/s]", e as f64 * 1e9 / ns)
     });
     println!("{label}: {} /iter ({n} iters){rate}", fmt_ns(ns));
 }
@@ -244,13 +219,6 @@ impl BenchmarkId {
             label: format!("{function}/{parameter}"),
         }
     }
-
-    /// Identify a benchmark by parameter only.
-    pub fn from_parameter(parameter: impl fmt::Display) -> BenchmarkId {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
 }
 
 /// Conversion into [`BenchmarkId`] (strings and ids both accepted).
@@ -273,30 +241,16 @@ impl IntoBenchmarkId for &str {
     }
 }
 
-impl IntoBenchmarkId for String {
-    fn into_benchmark_id(self) -> BenchmarkId {
-        BenchmarkId { label: self }
-    }
-}
-
 /// Units of work per iteration, for rate reporting.
 #[derive(Clone, Copy, Debug)]
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// Define a group-runner function from benchmark functions.
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut criterion = $crate::Criterion::default().configure_from_args();

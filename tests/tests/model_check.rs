@@ -14,10 +14,15 @@
 //! `run_seeded(&cfg, seed)` or `run_with_schedule(&cfg, &schedule)`
 //! replays it byte-for-byte (see DESIGN.md §12).
 
+use std::sync::Arc;
+use std::time::Instant;
+use txlog::empdb::transactions::raise_salary;
+use txlog::empdb::{populate, Sizes};
 use txlog::engine::sim::{
     check_oracles, explore_exhaustive, explore_random, run_seeded, run_with_schedule,
-    ExploreOptions, ProtocolBug, SimConfig, SimDurability,
+    ExploreOptions, ProtocolBug, SimConfig, SimDurability, StepAction, StepHook, StepPoint,
 };
+use txlog::engine::{Database, Env};
 use txlog::logic::{parse_fterm, FTerm, ParseCtx};
 use txlog::prelude::{Atom, Schema};
 use txlog::relational::codec::encode_db_state;
@@ -444,5 +449,52 @@ fn group_commit_undurable_ack_caught_by_durability_oracle() {
     assert!(
         check_oracles(&cfg, &out).is_some(),
         "the reported schedule replays to the same violation"
+    );
+}
+
+/// The do-nothing hook: every step proceeds, nothing is recorded. The
+/// difference between it and no hook at all is the dynamic dispatch an
+/// armed seam adds.
+struct NoopHook;
+
+impl StepHook for NoopHook {
+    fn on_step(&self, _point: StepPoint) -> StepAction {
+        StepAction::Proceed
+    }
+}
+
+/// The seam is free when disarmed: commits with no hook installed must
+/// not run materially slower than with a no-op hook armed, so the
+/// disarmed branch cannot be the expensive side. Both sides run the
+/// same commits once to warm up before the measured run.
+#[test]
+fn disarmed_seam_commits_no_slower_than_a_noop_hook() {
+    const COMMITS: usize = 400;
+    let commits_per_s = |hook: bool| {
+        let (schema, db) = populate(Sizes::small(), 2).expect("population generates");
+        let mut db = Database::with_initial(schema, db).expect("database builds");
+        if hook {
+            db.set_step_hook(Arc::new(NoopHook));
+        }
+        let tx = raise_salary("emp-0", 1);
+        let env = Env::new();
+        let mut session = db.session();
+        let start = Instant::now();
+        for i in 0..COMMITS {
+            session
+                .commit(&format!("raise-{i}"), &tx, &env)
+                .expect("commits");
+        }
+        COMMITS as f64 / start.elapsed().as_secs_f64()
+    };
+    commits_per_s(false);
+    commits_per_s(true);
+    let disarmed = commits_per_s(false);
+    let armed = commits_per_s(true);
+    let ratio = disarmed / armed;
+    assert!(
+        ratio >= 0.5,
+        "the disarmed seam must not cost more than a real hook: \
+         {disarmed:.0} vs {armed:.0} commits/s (ratio {ratio:.2})"
     );
 }

@@ -15,6 +15,8 @@
 //! *entire* history, exactly as if the crash never happened.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use txlog::events::{naive_matches, Automaton, EventKind, PTerm, Pattern, Prim};
@@ -280,4 +282,82 @@ proptest! {
             .collect();
         prop_assert_eq!(got, expected);
     }
+}
+
+/// Run `depth` burn-in commits, then a window of `window` commits,
+/// against a fresh database whose only registration is a live
+/// `seq(insert(R, X, Y), delete(R, X, _))` subscription. Returns the
+/// window's `(evt_steps, matches)`.
+///
+/// Commit `i` inserts a unique tuple; every fourth commit also deletes
+/// the tuple from two commits back (the deleted residues are 1 mod 4,
+/// so nothing is deleted twice). The pattern therefore completes once
+/// per fourth commit while its left-hand table grows without bound.
+fn dispatch_work(depth: u64, window: u64) -> (u64, u64) {
+    let metrics = Metrics::enabled();
+    let db = Database::builder(base_schema())
+        .metrics(metrics.clone())
+        .build()
+        .expect("database builds");
+    let matches = Arc::new(AtomicU64::new(0));
+    let sink = Arc::clone(&matches);
+    let pattern = Pattern::parse("seq(insert(R, X, Y), delete(R, X, _))").expect("pattern parses");
+    db.subscribe_pattern(
+        "depth",
+        &pattern,
+        Arc::new(move |_| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        }),
+    )
+    .expect("subscription registers");
+
+    let ctx = ParseCtx::with_relations(&["R", "S"]);
+    let env = Env::new();
+    let mut session = db.session();
+    let mut commit = |i: u64| {
+        let program = if i % 4 == 3 {
+            let j = i - 2;
+            format!("delete(tuple('k-{j}', {j}), R) ;; insert(tuple('k-{i}', {i}), R)")
+        } else {
+            format!("insert(tuple('k-{i}', {i}), R)")
+        };
+        let t = parse_fterm(&program, &ctx, &[]).expect("program parses");
+        session.refresh();
+        session
+            .commit(&format!("c{i}"), &t, &env)
+            .expect("commit lands");
+    };
+    for i in 0..depth {
+        commit(i);
+    }
+    let (steps0, matches0) = (
+        metrics.get(Counter::EvtSteps),
+        matches.load(Ordering::Relaxed),
+    );
+    for i in depth..depth + window {
+        commit(i);
+    }
+    (
+        metrics.get(Counter::EvtSteps) - steps0,
+        matches.load(Ordering::Relaxed) - matches0,
+    )
+}
+
+/// The automaton advances by commit deltas, joining through tables
+/// keyed on the operands' shared variables, so its work per commit is
+/// O(delta), not O(history): a 256-commit window costs exactly the
+/// same `evt_steps` at history depth 0 and after 4096 commits have
+/// grown the partial-match table.
+#[test]
+fn automaton_work_per_commit_is_independent_of_history_depth() {
+    const WINDOW: u64 = 256;
+    const DEEP: u64 = 4096;
+    let (steps_shallow, matches_shallow) = dispatch_work(0, WINDOW);
+    let (steps_deep, matches_deep) = dispatch_work(DEEP, WINDOW);
+    assert_eq!(matches_shallow, WINDOW / 4, "every fourth commit matches");
+    assert_eq!(matches_deep, WINDOW / 4, "depth does not change matching");
+    assert_eq!(
+        steps_shallow, steps_deep,
+        "per-commit automaton work must not depend on history depth"
+    );
 }

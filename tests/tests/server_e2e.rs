@@ -599,44 +599,67 @@ fn queued_notifications_survive_a_graceful_drain() {
     server.join();
 }
 
+/// Eight clients, one relation each, so every pair of concurrent deltas
+/// is footprint-disjoint: in memory and durable (group commit over an
+/// in-memory log), every request is answered without a protocol error
+/// and every commit is installed.
 #[test]
 fn concurrent_clients_commit_disjoint_relations_without_protocol_errors() {
-    let mut schema = Schema::new();
-    for r in 0..4 {
-        schema = schema
-            .relation(&format!("R{r}"), &[&format!("k{r}"), &format!("v{r}")])
-            .expect("relation declares");
-    }
-    let db = Arc::new(
-        Database::builder(schema)
-            .metrics(Metrics::enabled())
-            .build()
-            .expect("database builds"),
-    );
-    let server = serve(Arc::clone(&db), quick_cfg());
-    let addr = server.local_addr();
+    const CLIENTS: u64 = 8;
+    const ROUNDS: u64 = 10;
+    for durable in [false, true] {
+        let mut schema = Schema::new();
+        for r in 0..CLIENTS {
+            schema = schema
+                .relation(&format!("R{r}"), &[&format!("k{r}"), &format!("v{r}")])
+                .expect("relation declares");
+        }
+        let builder = Database::builder(schema).metrics(Metrics::enabled());
+        let db = if durable {
+            let wal = Durability::Wal {
+                sync_every: 64,
+                checkpoint_every: 1 << 20,
+            };
+            let store = Box::new(MemStore::new());
+            builder
+                .durability(wal)
+                .open_store(store)
+                .expect("log opens")
+                .0
+        } else {
+            builder.build().expect("database builds")
+        };
+        let db = Arc::new(db);
+        let server = serve(Arc::clone(&db), quick_cfg());
+        let addr = server.local_addr();
 
-    let handles: Vec<_> = (0..4)
-        .map(|r| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr, &format!("worker-{r}")).expect("connects");
-                for i in 0..10u64 {
-                    c.execute(
-                        &format!("r{r}-{i}"),
-                        &format!("insert(tuple('t-{i}', {i}), R{r})"),
-                    )
-                    .expect("disjoint commits never conflict away");
-                }
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|r| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr, &format!("worker-{r}")).expect("connects");
+                    for i in 0..ROUNDS {
+                        c.execute(
+                            &format!("r{r}-{i}"),
+                            &format!("insert(tuple('t-{i}', {i}), R{r})"),
+                        )
+                        .expect("disjoint commits never conflict away");
+                    }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread joins");
+            .collect();
+        for h in handles {
+            h.join().expect("client thread joins");
+        }
+        let label = if durable { "durable" } else { "in memory" };
+        assert_eq!(
+            db.head_version(),
+            CLIENTS * ROUNDS,
+            "{label}: every commit installed"
+        );
+        assert_eq!(db.snapshot().total_tuples() as u64, CLIENTS * ROUNDS);
+        server.shutdown();
+        server.join();
     }
-    assert_eq!(db.head_version(), 40, "all forty commits installed");
-    assert_eq!(db.snapshot().total_tuples(), 40);
-    server.shutdown();
-    server.join();
 }
 
 #[test]

@@ -17,6 +17,7 @@
 
 use txlog::engine::{CommitError, Database, Durability, Env, MemStore, RecoveryReport, WalError};
 use txlog::logic::{parse_fterm, FTerm, ParseCtx};
+use txlog::prelude::{Counter, Metrics};
 use txlog::relational::codec::encode_db_state;
 use txlog::relational::Schema;
 
@@ -69,9 +70,17 @@ fn workload() -> Vec<(String, FTerm)> {
 /// bytes and the oracle: `encode_db_state` of every prefix state, so
 /// `oracle[v]` is the byte-exact head at version `v`.
 fn logged_run(durability: Durability) -> (Vec<u8>, Vec<Vec<u8>>) {
+    logged_run_with(durability, None)
+}
+
+/// [`logged_run`], reporting into `metrics` when one is given.
+fn logged_run_with(durability: Durability, metrics: Option<Metrics>) -> (Vec<u8>, Vec<Vec<u8>>) {
     let store = MemStore::default();
-    let (db, report) = Database::builder(schema())
-        .durability(durability)
+    let mut builder = Database::builder(schema()).durability(durability);
+    if let Some(metrics) = metrics {
+        builder = builder.metrics(metrics);
+    }
+    let (db, report) = builder
         .open_store(Box::new(store.clone()))
         .expect("fresh log opens");
     assert!(report.fresh, "empty store must initialise fresh");
@@ -328,19 +337,23 @@ fn commits_after_durability_errors_never_corrupt_the_log() {
 }
 
 /// Checkpoint cadence must not change what recovery returns — only how
-/// much replay it takes to get there.
+/// much replay it takes to get there. A checkpoint-free log replays
+/// every commit, and the dense run's WAL counters honour its cadence.
 #[test]
 fn checkpoints_change_replay_cost_not_the_recovered_state() {
+    const CHECKPOINT_EVERY: u64 = 2;
     let dense = Durability::Wal {
         sync_every: 1,
-        checkpoint_every: 2,
+        checkpoint_every: CHECKPOINT_EVERY,
     };
     let sparse = Durability::Wal {
         sync_every: 1,
         checkpoint_every: u64::MAX,
     };
-    let (dense_bytes, dense_oracle) = logged_run(dense);
+    let metrics = Metrics::enabled();
+    let (dense_bytes, dense_oracle) = logged_run_with(dense, Some(metrics.clone()));
     let (sparse_bytes, sparse_oracle) = logged_run(sparse);
+    let commits = (dense_oracle.len() - 1) as u64;
     assert_eq!(
         dense_oracle, sparse_oracle,
         "cadence is invisible to commits"
@@ -358,6 +371,18 @@ fn checkpoints_change_replay_cost_not_the_recovered_state() {
         "dense checkpoints must shorten replay ({} vs {})",
         rep_d.replayed_deltas,
         rep_s.replayed_deltas
+    );
+    assert_eq!(
+        rep_s.replayed_deltas, commits,
+        "a checkpoint-free log replays every commit"
+    );
+    assert!(
+        metrics.get(Counter::WalCheckpoints) >= commits / CHECKPOINT_EVERY,
+        "checkpoint cadence was honoured"
+    );
+    assert!(
+        metrics.get(Counter::WalFsyncs) <= metrics.get(Counter::WalAppends),
+        "syncs cannot outnumber appends"
     );
 }
 
