@@ -196,18 +196,20 @@ pub enum Counter {
     /// the database carries multi-state (window ≥ 2) constraints that
     /// statement-boundary re-pinning would break.
     SessionsEscalated,
-    /// Event patterns registered (materializing or subscription-only).
+    /// Event patterns registered (materialized or subscribed).
     EvtPatterns,
     /// Automaton node visits across all pattern advances.
     EvtSteps,
-    /// Pattern matches produced by the event dispatch stage.
+    /// Pattern matches completed by committed deltas.
     EvtMatches,
-    /// Tuples installed into materialized event relations.
+    /// Tuples materialized event patterns added to the commits that
+    /// matched them.
     EvtMaterialized,
     /// Notifications delivered to subscribers (in-process callbacks
     /// count one per match delivered).
     EvtNotificationsSent,
-    /// Notifications dropped because a subscriber's queue overflowed.
+    /// Notifications dropped: a wire subscriber's queue overflowed, or
+    /// an in-process callback panicked and lost its subscription.
     EvtNotificationsDropped,
 }
 

@@ -519,9 +519,8 @@ fn server_exercise(metrics: &Metrics) {
 /// run over a five-commit script chosen so that every counter moves
 /// for a script-determined reason — three arrivals notify, two
 /// departures fire the history pattern, and the second departure of
-/// the same tuple is absorbed by the insert-if-absent
-/// materialization (so `evt_materialized` pins the dedup, not just
-/// the install).
+/// the same tuple finds its history row already present and adds none
+/// (so `evt_materialized` pins the dedup, not just the install).
 fn events_exercise(metrics: &Metrics) {
     use std::sync::{Arc, Mutex};
     use txlog::engine::Database;
@@ -587,14 +586,13 @@ fn events_exercise(metrics: &Metrics) {
     assert!(db.unsubscribe(sub), "the live subscription unregisters");
 
     // Three arrivals, in commit-version order; ada's departure at v3
-    // installs the DEPARTED row as system commit v4, so the return
-    // lands at v5.
+    // carries its DEPARTED row, so the return lands at v4.
     assert_eq!(
         *seen.lock().expect("sink lock"),
         vec![
             (1, Atom::str("ada")),
             (2, Atom::str("bev")),
-            (5, Atom::str("ada")),
+            (4, Atom::str("ada")),
         ],
         "every arrival notifies exactly once, in version order"
     );

@@ -12,13 +12,14 @@
 //! materializes into a system-maintained relation
 //! ([`txlog_engine::DatabaseBuilder::event_pattern`]). Transactions
 //! stay exactly as the paper writes them — `fire(ann)` is just deletes
-//! — and the audit relation can never be forgotten or hand-edited,
-//! because the schema flags it `system` and the dispatch stage is the
-//! only writer.
+//! — and the audit relation can never be forgotten, because the engine
+//! adds each row inside the commit whose delete matched, as the paper's
+//! rewritten transaction inserts into `FIRE` in the same transition.
 //!
 //! The enforcement half is unchanged: [`ReactiveEncoding::static_constraint`]
 //! is the same window-1 formula the manual encoding uses, now over the
-//! auto-maintained relation.
+//! auto-maintained relation. One difference: a `modify` is a delete
+//! event of the old value, so never-reinsert refuses a modify too.
 
 use txlog_base::{Symbol, TxResult};
 use txlog_events::{PTerm, Pattern, PatternDef};
@@ -161,7 +162,7 @@ mod tests {
         assert_eq!(enc.pattern().to_string(), "delete(EMP, FIRED-key, _)");
         let def = enc.pattern_def();
         assert_eq!(def.name, "fired");
-        let m = def.materialize.as_ref().unwrap();
+        let m = &def.materialize;
         assert_eq!(m.relation, "FIRED");
         assert_eq!(m.columns, vec!["FIRED-key".to_string()]);
     }
@@ -222,5 +223,34 @@ mod tests {
         s.refresh();
         s.commit("hire2", &t("insert(tuple('bob', 400), EMP)"), &Env::new())
             .unwrap();
+    }
+
+    /// A modify is a delete event of the old value, so a raise records
+    /// its employee as fired in the raise's own commit, and
+    /// never-rehire refuses it. Pinned so that a change to how the
+    /// encoding treats modifies shows here.
+    #[test]
+    fn a_modify_matches_the_delete_pattern_and_is_refused() {
+        let enc = ReactiveEncoding::define(&schema(), "EMP", "e-name", "FIRED").unwrap();
+        let mut db = Database::builder(schema())
+            .event_pattern(enc.pattern_def())
+            .unwrap()
+            .build()
+            .unwrap();
+        db.add_constraint(Box::new(enc.session_constraint("never-rehire").unwrap()))
+            .unwrap();
+        let ctx = ParseCtx::with_relations(&["EMP", "FIRED"]);
+        let t = |src: &str| parse_fterm(src, &ctx, &[]).unwrap();
+        let mut s = db.session();
+        s.commit("hire", &t("insert(tuple('ann', 500), EMP)"), &Env::new())
+            .unwrap();
+        let raise = t("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
+        let err = s.commit("raise", &raise, &Env::new()).unwrap_err();
+        assert!(
+            matches!(&err, CommitError::ConstraintViolation { constraint }
+                     if constraint == "never-rehire"),
+            "{err}"
+        );
+        assert_eq!(db.head_version(), 1);
     }
 }

@@ -26,9 +26,11 @@
 //!    [`RetryPolicy::max_retries`] times, then surfaces
 //!    [`CommitError::RetriesExhausted`].
 //!
-//! However the candidate was chosen — and for the event dispatcher's
-//! engine-internal commits too — one routine, `Database::stage`, makes
-//! it the current state; nothing else calls `Head::install`.
+//! However the candidate was chosen, one routine, `Database::stage`,
+//! makes it the current state; nothing else calls `Head::install`. A
+//! materialized event pattern's new rows join the candidate there,
+//! before validation, so they commit with the change that caused them
+//! (see [`crate::events`]).
 //!
 //! Constraint validation runs before installation, under the head lock
 //! (commits serialize; readers never block). Each registered
@@ -69,7 +71,7 @@ pub use footprint::Footprint;
 pub use options::{IsolationLevel, RetryPolicy, SessionOptions};
 pub use session::{Commit, Prepared, Session};
 
-use crate::events::{EventCallback, EventHub, SubId};
+use crate::events::{self, EventCallback, EventHub, SubId};
 use crate::exec::{Engine, EvalOptions, SchemaTables};
 use crate::group::{GroupCommitter, WriterOp};
 use crate::sim::{ProtocolBug, StepHook, StepPoint};
@@ -79,7 +81,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use txlog_base::obs::{Counter, Metrics};
-use txlog_base::{Atom, RelId, TxError, TxResult};
+use txlog_base::{TxError, TxResult};
 use txlog_events::Pattern;
 use txlog_relational::{DbState, Delta, Schema};
 
@@ -111,18 +113,14 @@ pub trait CommitConstraint: Send + Sync {
     fn check(&self, schema: &Schema, states: &[DbState], labels: &[&str]) -> TxResult<bool>;
 }
 
-/// Which of the three kinds of commit [`Database::stage`] is installing:
-/// the kind decides the two skippable steps and the outcome counter.
+/// Which of the two kinds of commit [`Database::stage`] is installing:
+/// the kind decides the outcome counter.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CommitKind {
     /// A session's candidate, executed against the head it installs on.
     Direct,
     /// A session's delta rebased onto a head that moved disjointly.
     Forwarded,
-    /// The event dispatcher materializing `rows` new matches. Engine-
-    /// internal: not validated (system relations carry no constraints)
-    /// and not fed back to the event hub (no feedback loops).
-    System { rows: u64 },
 }
 
 /// A shared database: one committed head, any number of snapshot
@@ -159,11 +157,12 @@ pub struct Database {
     /// [`DatabaseBuilder::manual_log_writer`] mode (the deterministic
     /// simulator pumps the committer itself).
     writer_thread: Option<JoinHandle<()>>,
-    /// The reactive-event stage: committed deltas are enqueued under
-    /// the head lock and dispatched through the registered automata
-    /// after it is released (see [`crate::events`]).
+    /// The notification stage: committed deltas are enqueued under the
+    /// head lock and dispatched through the live subscriptions after it
+    /// is released (see [`crate::events`]).
     events: EventHub,
-    /// Reached only through [`Database::head`].
+    /// Reached only through [`Database::head`]. Holds the materialized
+    /// patterns' automata too.
     head: Mutex<Head>,
 }
 
@@ -264,9 +263,9 @@ impl Database {
     /// on the committing thread. The automaton is primed over the
     /// hub's retained history *silently*: matches completing at or
     /// after the subscription are delivered, matches wholly in the
-    /// past are not. Patterns that should survive restarts or
-    /// materialize into relations are registered at build time instead
-    /// ([`DatabaseBuilder::event_pattern`]).
+    /// past are not. A callback that panics is unsubscribed. Patterns
+    /// that should materialize into relations are registered at build
+    /// time instead ([`DatabaseBuilder::event_pattern`]).
     pub fn subscribe_pattern(
         &self,
         name: &str,
@@ -275,7 +274,17 @@ impl Database {
     ) -> TxResult<SubId> {
         // The hub records history only while it has registrations; the
         // head's recent delta log fills the gap for a first subscriber.
-        let primer: Vec<(u64, Delta)> = self.head().log.iter().cloned().collect();
+        // Names are unique across the registry, materialized patterns
+        // (fixed at build time) included.
+        let primer: Vec<(u64, Delta)> = {
+            let head = self.head();
+            if head.materialized.iter().any(|m| m.name() == name) {
+                return Err(TxError::schema(format!(
+                    "event pattern {name} is already registered"
+                )));
+            }
+            head.log.iter().cloned().collect()
+        };
         self.events.subscribe(
             name,
             pattern,
@@ -292,57 +301,16 @@ impl Database {
         self.events.unsubscribe(id)
     }
 
-    /// Drain the event hub: advance every automaton over the newly
-    /// committed deltas, install materializations, invoke subscribers.
-    /// Called by the commit pipeline after releasing the head lock, and
-    /// by the builder's recovery replay.
-    fn dispatch_events(&self) {
-        if !self.events.is_active() {
-            return;
-        }
-        self.events.drain(&self.metrics, &mut |name, rel, rows| {
-            self.install_system_rows(name, rel, rows)
-        });
-    }
-
-    /// Install a pattern's new matches as tuples of its system
-    /// relation: a [`CommitKind::System`] commit that inserts if-absent
-    /// (so recovery replay is idempotent) and is WAL-logged like any
-    /// other commit. Rows already present consume no version.
-    fn install_system_rows(&self, name: &str, rel: RelId, rows: Vec<Vec<Atom>>) {
-        let mut head = self.head();
-        let mut state = (*head.state).clone();
-        let mut inserted = 0u64;
-        for row in rows {
-            if state.relation(rel).is_some_and(|r| r.contains_fields(&row)) {
-                continue;
-            }
-            if let Ok((next, _)) = state.insert_fields(rel, &row) {
-                state = next;
-                inserted += 1;
-            }
-        }
-        if inserted == 0 {
-            return;
-        }
-        let delta = head.state.diff(&state);
-        let kind = CommitKind::System { rows: inserted };
-        // A poisoned or overloaded log rejects the record before
-        // anything installs: skip rather than let memory diverge from
-        // what recovery can reconstruct — the match re-fires from the
-        // replayed WAL suffix on reopen.
-        let _ = self.stage(&mut head, &format!("events/{name}"), state, delta, kind);
-    }
-
     /// The atomic section of every commit: make the candidate
     /// `(state, delta)` the current state, or fail leaving the head as
-    /// it was. In order: validate (not engine-internal commits); encode
-    /// the log record and submit it to the group committer, the last
-    /// point of failure; install; count; enqueue for event dispatch
-    /// (not engine-internal commits) — under the head lock, so queue
-    /// order is commit order. Caller holds the lock and dispatches
-    /// events after releasing it. The append and fsync run on the
-    /// log-writer thread; the [`CommitTicket`] resolves when they have.
+    /// it was. In order: step the materialized patterns on the delta
+    /// and fold their new rows into the candidate; validate; encode the
+    /// log record and submit it to the group committer, the last point
+    /// of failure; install and absorb the patterns' steps; count;
+    /// enqueue for notification — under the head lock, so queue order
+    /// is commit order. Caller holds the lock and dispatches events
+    /// after releasing it. The append and fsync run on the log-writer
+    /// thread; the [`CommitTicket`] resolves when they have.
     fn stage(
         &self,
         head: &mut Head,
@@ -351,10 +319,8 @@ impl Database {
         delta: Delta,
         kind: CommitKind,
     ) -> Result<(u64, Arc<DbState>, CommitTicket), CommitError> {
-        let internal = matches!(kind, CommitKind::System { .. });
-        if !internal {
-            self.validate(head, &state, &delta, label)?;
-        }
+        let (state, delta, pending) = events::materialize(&head.materialized, state, delta)?;
+        self.validate(head, &state, &delta, label)?;
         let version = head.version + 1;
         let state = Arc::new(state);
         let submitted = self.committer.as_ref().map(|c| {
@@ -362,14 +328,14 @@ impl Database {
             c.submit(version, payload, Arc::clone(&state))
         });
         let slot = submitted.transpose().map_err(error::submit_error)?;
-        let evt = (!internal && self.events.is_active()).then(|| delta.clone());
+        let evt = self.events.is_active().then(|| delta.clone());
         self.step(StepPoint::Install);
         head.install(label, Arc::clone(&state), delta, self.max_window);
-        match kind {
-            CommitKind::Direct => self.metrics.bump(Counter::CommitsApplied),
-            CommitKind::Forwarded => self.metrics.bump(Counter::CommitsForwarded),
-            CommitKind::System { rows } => self.metrics.add(Counter::EvtMaterialized, rows),
-        }
+        events::absorb(&mut head.materialized, pending, &self.metrics);
+        self.metrics.bump(match kind {
+            CommitKind::Direct => Counter::CommitsApplied,
+            CommitKind::Forwarded => Counter::CommitsForwarded,
+        });
         if let Some(d) = evt {
             self.events.enqueue(version, d);
         }

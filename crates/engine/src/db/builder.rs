@@ -4,14 +4,14 @@ use super::head::Head;
 use super::{CommitConstraint, Database, IsolationLevel, RetryPolicy};
 #[cfg(doc)]
 use super::{CommitError, CommitTicket, Session, SessionOptions};
-use crate::events::EventHub;
+use crate::events::{EventHub, Materialized};
 use crate::exec::{Engine, EvalOptions};
 use crate::group::GroupCommitter;
 use crate::wal::{self, Durability, FileStore, LogStore, RecoveryReport, Wal, WalError};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use txlog_base::obs::Metrics;
-use txlog_base::{Symbol, TxError, TxResult};
+use txlog_base::obs::{Counter, Metrics};
+use txlog_base::{TxError, TxResult};
 #[cfg(doc)]
 use txlog_events::Pattern;
 use txlog_events::PatternDef;
@@ -51,7 +51,7 @@ pub struct DatabaseBuilder {
     default_isolation: IsolationLevel,
     durability: Durability,
     constraints: Vec<Box<dyn CommitConstraint>>,
-    event_defs: Vec<PatternDef>,
+    materialized: Vec<Materialized>,
     queue_cap: usize,
     manual_writer: bool,
 }
@@ -79,7 +79,7 @@ impl DatabaseBuilder {
             default_isolation: IsolationLevel::default(),
             durability: Durability::Off,
             constraints: Vec::new(),
-            event_defs: Vec::new(),
+            materialized: Vec::new(),
             queue_cap: DEFAULT_LOG_QUEUE_CAP,
             manual_writer: false,
         }
@@ -139,37 +139,27 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Register an event pattern. A materializing definition
-    /// ([`PatternDef::materialized`]) declares its target relation here
-    /// — as a *system* relation, before any log is opened, which is what
-    /// lets WAL recovery compare schemas and replay the dispatcher's own
-    /// commits. Patterns must not watch system relations (a
-    /// materialization feeding an automaton would loop), and
-    /// materialization columns must be variables every match certainly
-    /// binds ([`Pattern::certain_vars`]).
+    /// Register a materialized event pattern
+    /// ([`PatternDef::materialized`]): every commit whose delta
+    /// completes matches also inserts their rows into the target
+    /// relation, validated and logged with it. The relation is declared
+    /// here — as a *system* relation, before any log is opened, which is
+    /// what lets WAL recovery compare schemas. Patterns must not watch
+    /// system relations (a materialization feeding an automaton would
+    /// loop), and materialization columns must be variables every match
+    /// certainly binds ([`Pattern::certain_vars`]).
     pub fn event_pattern(mut self, def: PatternDef) -> TxResult<DatabaseBuilder> {
-        if self.event_defs.iter().any(|d| d.name == def.name) {
+        if self.materialized.iter().any(|m| m.name() == def.name) {
             return Err(TxError::schema(format!(
                 "event pattern {} is already registered",
                 def.name
             )));
         }
-        if let Some(m) = &def.materialize {
-            let certain = def.pattern.certain_vars();
-            for c in &m.columns {
-                if !certain.contains(&Symbol::new(c)) {
-                    return Err(TxError::schema(format!(
-                        "event pattern {}: materialization column {c} is not \
-                         certainly bound by the pattern",
-                        def.name
-                    )));
-                }
-            }
-            let attrs: Vec<&str> = m.columns.iter().map(String::as_str).collect();
-            self.schema.add_system_relation(&m.relation, &attrs)?;
-        }
-        crate::events::check_def(&def, &self.schema)?;
-        self.event_defs.push(def);
+        let m = &def.materialize;
+        let attrs: Vec<&str> = m.columns.iter().map(String::as_str).collect();
+        self.schema.add_system_relation(&m.relation, &attrs)?;
+        self.materialized
+            .push(Materialized::compile(&def, &self.schema)?);
         Ok(self)
     }
 
@@ -274,9 +264,13 @@ impl DatabaseBuilder {
     /// The one assembly step [`build`](DatabaseBuilder::build) and
     /// [`open_store`](DatabaseBuilder::open_store) both end in: a head
     /// at `(state, version)`, the group-commit stage over `log` when
-    /// there is one, then the registrations that must see that head —
-    /// event patterns (replaying the recovered commit suffix through
-    /// them), then constraints, each checked against the head.
+    /// there is one, then the constraints, each checked against the
+    /// head. The materialized patterns replay the recovered commit
+    /// suffix silently — its rows are already in the log — and the
+    /// suffix seeds the history late subscriptions prime over. A
+    /// partial match whose earlier half lies before the last checkpoint
+    /// is not rebuilt: the checkpoint holds states, not the deltas the
+    /// automaton would need.
     fn assemble(
         self,
         state: DbState,
@@ -288,6 +282,14 @@ impl DatabaseBuilder {
         // surfaces schema problems at construction, not first commit
         let builder = Engine::builder(&self.schema).metrics(metrics.clone());
         let tables = builder.build()?.tables;
+        let mut materialized = self.materialized;
+        for m in &mut materialized {
+            for (_, delta) in &replayed {
+                m.replay(delta);
+            }
+        }
+        metrics.add(Counter::EvtPatterns, materialized.len() as u64);
+        let since_checkpoint = replayed.len() as u64;
         let mut db = Database {
             schema: self.schema,
             tables,
@@ -300,8 +302,8 @@ impl DatabaseBuilder {
             hook: None,
             committer: None,
             writer_thread: None,
-            events: EventHub::new(),
-            head: Mutex::new(Head::new(version, Arc::new(state))),
+            events: EventHub::new(!materialized.is_empty(), replayed),
+            head: Mutex::new(Head::new(version, Arc::new(state), materialized)),
         };
         if let Some((wal, sync_every, checkpoint_every)) = log {
             let committer = Arc::new(GroupCommitter::new(
@@ -313,7 +315,7 @@ impl DatabaseBuilder {
                 // resume the checkpoint cadence where the log left off,
                 // and let the next cadence checkpoint snapshot the
                 // recovered head
-                replayed.len() as u64,
+                since_checkpoint,
                 Some((version, db.snapshot())),
                 db.metrics.clone(),
             ));
@@ -329,21 +331,6 @@ impl DatabaseBuilder {
                 db.writer_thread = Some(thread);
             }
             db.committer = Some(committer);
-        }
-        for def in &self.event_defs {
-            db.events.register_def(def, &db.schema, &db.metrics)?;
-        }
-        if !replayed.is_empty() {
-            if db.events.is_active() {
-                // Replay the recovered commit suffix through the
-                // automata: rebuilds their join state and re-fires any
-                // match whose materialization the crash lost
-                // (insert-if-absent makes the replay idempotent).
-                db.events.seed_replay(replayed);
-                db.dispatch_events();
-            } else {
-                db.events.seed_history(replayed);
-            }
         }
         for c in self.constraints {
             // add_constraint checks the constraint against the (possibly

@@ -1,5 +1,6 @@
 //! The committed head and the bookkeeping the pipeline keeps beside it.
 
+use crate::events::Materialized;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use txlog_relational::{DbState, Delta};
@@ -21,17 +22,22 @@ pub(super) struct Head {
     /// Recent committed deltas as `(version_after, delta)`, oldest
     /// first, for composing "what happened since snapshot v".
     pub(super) log: VecDeque<(u64, Delta)>,
+    /// The materialized event patterns, stepped on every candidate and
+    /// advanced by every commit that installs.
+    pub(super) materialized: Vec<Materialized>,
 }
 
 impl Head {
-    /// A head at `version` with no retained history before `state`.
-    pub(super) fn new(version: u64, state: Arc<DbState>) -> Head {
+    /// A head at `version` with no retained history before `state`,
+    /// whose materialized patterns have seen every commit up to it.
+    pub(super) fn new(version: u64, state: Arc<DbState>, mats: Vec<Materialized>) -> Head {
         Head {
             version,
             state: Arc::clone(&state),
             recent: VecDeque::from([state]),
             labels: VecDeque::new(),
             log: VecDeque::new(),
+            materialized: mats,
         }
     }
 
@@ -90,8 +96,9 @@ impl Head {
         (states, labels)
     }
 
-    /// Make `state` the head. The only mutation of a `Head`, and nothing
-    /// in it can unwind — the invariant `Database::head`'s poison
+    /// Make `state` the head. With absorbing the materialized patterns'
+    /// steps right after it, the only mutation of a `Head`; nothing in
+    /// either can unwind — the invariant `Database::head`'s poison
     /// recovery rests on.
     pub(super) fn install(
         &mut self,

@@ -422,7 +422,7 @@ impl<'db> Session<'db> {
             .stage(&mut head, label, state, delta, kind)
             .map_err(AttemptError::Fatal)?;
         drop(head);
-        db.dispatch_events();
+        db.events.drain(&db.metrics);
         self.base_version = version;
         self.base = state;
         self.reads_since = version;

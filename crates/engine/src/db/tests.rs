@@ -2,6 +2,8 @@ use super::*;
 use crate::env::Env;
 use crate::wal::{Durability, LogStore, MemStore, WalError};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Barrier;
+use txlog_base::{Atom, RelId};
 use txlog_events::PatternDef;
 use txlog_logic::{parse_fterm, FTerm, ParseCtx};
 
@@ -195,6 +197,15 @@ fn materialized_event_pattern_maintains_history_relation() {
         .build()
         .unwrap();
     assert!(db.schema().expect("FIRED").unwrap().system);
+    // subscriptions share the materialized patterns' name space
+    let err = db
+        .subscribe_pattern(
+            "fired",
+            &Pattern::parse("insert(EMP, N, _)").unwrap(),
+            Arc::new(|_| {}),
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("already registered"), "{err}");
     let fired = db.schema().rel_id("FIRED").unwrap();
     let mut s = db.session();
     s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
@@ -202,14 +213,13 @@ fn materialized_event_pattern_maintains_history_relation() {
     assert!(db.snapshot().relation(fired).unwrap().is_empty());
     s.commit("fire", &tx("delete(tuple('ann', 500), EMP)"), &Env::new())
         .unwrap();
-    // the dispatch ran synchronously: the system commit is already
-    // installed when the user commit returns
+    // the history row is part of the fire's own commit
     let head = db.snapshot();
     assert!(head
         .relation(fired)
         .unwrap()
         .contains_fields(&[Atom::str("ann")]));
-    assert_eq!(db.head_version(), 3, "materialization consumed a version");
+    assert_eq!(db.head_version(), 2, "materialization consumes no version");
     // re-firing the same name does not duplicate the history row
     s.refresh();
     s.commit("rehire", &tx("insert(tuple('ann', 700), EMP)"), &Env::new())
@@ -279,13 +289,20 @@ fn late_subscription_primes_silently_over_history() {
 
 #[test]
 fn event_pattern_registration_is_validated() {
+    let refusal = |r: TxResult<DatabaseBuilder>| match r {
+        Ok(_) => panic!("registration should be refused"),
+        Err(e) => e.to_string(),
+    };
     // unknown relation
-    assert!(Database::builder(schema())
-        .event_pattern(PatternDef::named(
+    let err = refusal(
+        Database::builder(schema()).event_pattern(PatternDef::materialized(
             "p",
-            Pattern::parse("insert(NOPE, X)").unwrap()
-        ))
-        .is_err());
+            Pattern::parse("insert(NOPE, X)").unwrap(),
+            "OUT",
+            &["X"],
+        )),
+    );
+    assert!(err.contains("unknown relation NOPE"), "{err}");
     // materialization column not certainly bound (Or binds S on one
     // branch only)
     assert!(Database::builder(schema())
@@ -305,12 +322,219 @@ fn event_pattern_registration_is_validated() {
             &["N"],
         ))
         .unwrap();
-    assert!(b
-        .event_pattern(PatternDef::named(
-            "loop",
-            Pattern::parse("insert(FIRED, N)").unwrap()
+    let err = refusal(b.event_pattern(PatternDef::materialized(
+        "loop",
+        Pattern::parse("insert(FIRED, N)").unwrap(),
+        "LOOPED",
+        &["N"],
+    )));
+    assert!(err.contains("cannot watch system relation FIRED"), "{err}");
+}
+
+/// Never-rehire over a materialized `FIRED`, written out by hand: no
+/// name is both employed and fired.
+struct NeverRehire;
+
+impl CommitConstraint for NeverRehire {
+    fn name(&self) -> &str {
+        "never-rehire"
+    }
+    fn window_states(&self) -> usize {
+        1
+    }
+    fn affected_by(&self, _: &Schema, _: &Delta) -> bool {
+        true
+    }
+    fn check(&self, schema: &Schema, states: &[DbState], _: &[&str]) -> TxResult<bool> {
+        let state = states.last().expect("window is non-empty");
+        let fired = state
+            .relation(schema.rel_id("FIRED")?)
+            .expect("FIRED exists");
+        let emp = state.relation(schema.rel_id("EMP")?).expect("EMP exists");
+        Ok(emp.iter().all(|t| !fired.contains_fields(&t.fields()[..1])))
+    }
+}
+
+/// A fire and its `FIRED` row are one commit, so a rehire is validated
+/// against the row however far notification lags behind. Here a
+/// subscriber parks the dispatcher inside the first commit's drain, so
+/// every later commit only enqueues for notification; the rehire must
+/// still be refused.
+#[test]
+fn materialized_row_commits_with_the_fire_that_caused_it() {
+    let db = Database::builder(schema())
+        .event_pattern(PatternDef::materialized(
+            "fired",
+            Pattern::parse("delete(EMP, N, _)").unwrap(),
+            "FIRED",
+            &["N"],
         ))
-        .is_err());
+        .unwrap()
+        .constraint(Box::new(NeverRehire))
+        .build()
+        .unwrap();
+    let (parked, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let (p, r) = (Arc::clone(&parked), Arc::clone(&release));
+    db.subscribe_pattern(
+        "park",
+        &Pattern::parse("insert(LOG, X)").unwrap(),
+        Arc::new(move |_: &crate::events::EventNotification| {
+            p.wait();
+            r.wait();
+        }),
+    )
+    .unwrap();
+    let env = Env::new();
+    let (parker, hire, fire, rehire) = std::thread::scope(|scope| {
+        let parker = scope.spawn(|| {
+            db.session()
+                .commit("park", &tx("insert(tuple('park'), LOG)"), &env)
+        });
+        parked.wait();
+        let mut s = db.session();
+        let hire = s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &env);
+        let fire = s.commit("fire", &tx("delete(tuple('ann', 500), EMP)"), &env);
+        let rehire = s.commit("rehire", &tx("insert(tuple('ann', 700), EMP)"), &env);
+        release.wait();
+        (parker.join().unwrap(), hire, fire, rehire)
+    });
+    assert_eq!(parker.unwrap().version, 1);
+    assert_eq!(hire.unwrap().version, 2);
+    assert_eq!(fire.unwrap().version, 3, "the FIRED row took no version");
+    assert!(
+        matches!(&rehire, Err(CommitError::ConstraintViolation { constraint })
+                 if constraint == "never-rehire"),
+        "{rehire:?}"
+    );
+    assert_eq!(db.head_version(), 3);
+    let head = db.snapshot();
+    let fired = db.schema().rel_id("FIRED").unwrap();
+    assert!(head
+        .relation(fired)
+        .unwrap()
+        .contains_fields(&[Atom::str("ann")]));
+}
+
+/// A commit refused by a constraint, or by an overloaded log, advances
+/// no materialized automaton: the `and` never sees the refused `EMP`
+/// insert, so a later `LOG` insert of the same name completes nothing.
+#[test]
+fn materialized_pattern_ignores_refused_commits() {
+    let paired = || {
+        PatternDef::materialized(
+            "paired",
+            Pattern::parse("and(insert(EMP, N, _), insert(LOG, N))").unwrap(),
+            "PAIRED",
+            &["N"],
+        )
+    };
+    let env = Env::new();
+    let db = Database::builder(schema())
+        .event_pattern(paired())
+        .unwrap()
+        .constraint(Box::new(SalaryCap(1000)))
+        .build()
+        .unwrap();
+    let rel = db.schema().rel_id("PAIRED").unwrap();
+    let mut s = db.session();
+    let refused = s.commit("hire", &tx("insert(tuple('ann', 5000), EMP)"), &env);
+    assert!(
+        matches!(refused, Err(CommitError::ConstraintViolation { .. })),
+        "{refused:?}"
+    );
+    s.commit("log", &tx("insert(tuple('ann'), LOG)"), &env)
+        .unwrap();
+    assert_eq!(db.head_version(), 1);
+    assert!(db.snapshot().relation(rel).unwrap().is_empty());
+    // the pattern itself works: a legal hire of the same name pairs
+    s.commit("hire", &tx("insert(tuple('ann', 900), EMP)"), &env)
+        .unwrap();
+    assert_eq!(db.snapshot().relation(rel).unwrap().len(), 1);
+
+    // the same through a log that refuses the record: one queued
+    // submission fills it, and the next is overloaded
+    let (db, _) = Database::builder(schema())
+        .event_pattern(paired())
+        .unwrap()
+        .manual_log_writer()
+        .log_queue_cap(1)
+        .durability(Durability::Wal {
+            sync_every: 1,
+            checkpoint_every: 0,
+        })
+        .open_store(Box::new(MemStore::new()))
+        .unwrap();
+    let rel = db.schema().rel_id("PAIRED").unwrap();
+    let mut s = db.session();
+    let p = s.prepare(&tx("insert(tuple('bob'), LOG)"), &env).unwrap();
+    s.submit_prepared("fill", &p).unwrap();
+    let p = s
+        .prepare(&tx("insert(tuple('ann', 500), EMP)"), &env)
+        .unwrap();
+    let refused = s.submit_prepared("hire", &p).map(|(c, _)| c);
+    assert!(
+        matches!(refused, Err(CommitError::Overload { .. })),
+        "{refused:?}"
+    );
+    db.pump_log_writer();
+    let p = s.prepare(&tx("insert(tuple('ann'), LOG)"), &env).unwrap();
+    s.submit_prepared("log", &p).unwrap();
+    db.pump_log_writer();
+    assert_eq!(db.head_version(), 2);
+    assert!(db.snapshot().relation(rel).unwrap().is_empty());
+}
+
+/// A subscriber whose callback panics loses its subscription, and
+/// nothing else: the commit that reached it returns `Ok`, later
+/// commits keep materializing, and the other subscribers keep being
+/// served. The panicking one is registered first, so its panic comes
+/// before the healthy subscriber's callback in every drain.
+#[test]
+fn subscription_that_panics_is_dropped_and_dispatch_continues() {
+    let m = Metrics::enabled();
+    let db = Database::builder(schema())
+        .metrics(m.clone())
+        .event_pattern(PatternDef::materialized(
+            "hired",
+            Pattern::parse("insert(EMP, N, _)").unwrap(),
+            "HIRED",
+            &["N"],
+        ))
+        .unwrap()
+        .build()
+        .unwrap();
+    let hires = Pattern::parse("insert(EMP, N, _)").unwrap();
+    let bad = db
+        .subscribe_pattern("panics", &hires, Arc::new(|_| panic!("subscriber bug")))
+        .unwrap();
+    let seen = Arc::new(AtomicUsize::new(0));
+    let sink = Arc::clone(&seen);
+    db.subscribe_pattern(
+        "counts",
+        &hires,
+        Arc::new(move |_| {
+            sink.fetch_add(1, Relaxed);
+        }),
+    )
+    .unwrap();
+    let mut s = db.session();
+    for i in 1..=6u64 {
+        let hire = tx(&format!("insert(tuple('w{i}', 500), EMP)"));
+        let c = s
+            .commit("hire", &hire, &Env::new())
+            .expect("a subscriber's panic does not fail the commit");
+        assert_eq!(c.version, i);
+    }
+    assert_eq!(
+        seen.load(Relaxed),
+        6,
+        "the healthy subscriber saw every hire"
+    );
+    let hired = db.schema().rel_id("HIRED").unwrap();
+    assert_eq!(db.snapshot().relation(hired).unwrap().len(), 6);
+    assert!(!db.unsubscribe(bad), "the panicking subscription is gone");
+    assert_eq!(m.get(Counter::EvtNotificationsDropped), 1);
+    assert_eq!(m.get(Counter::EvtNotificationsSent), 6);
 }
 
 #[test]
@@ -342,8 +566,8 @@ fn materialized_relations_recover_with_the_log() {
         let fired = db.schema().rel_id("FIRED").unwrap();
         assert_eq!(db.snapshot().relation(fired).unwrap().len(), 1);
     }
-    // reopen from the logged bytes: the system commit replays (or
-    // re-fires idempotently) and the history relation survives
+    // reopen from the logged bytes: the fire's record carries the
+    // history row, so it replays with the fire
     let (db, report) = Database::builder(schema())
         .event_pattern(def())
         .unwrap()
@@ -1012,11 +1236,12 @@ impl CommitConstraint for TwoStateNoop {
     }
 }
 
-/// The three kinds of commit — direct, forwarded, event materialization
-/// — go through one routine and leave one shape behind: head version
-/// +1, exactly one WAL commit record whose delta takes the previous
-/// head to the new one, the retained window advanced by one, and the
-/// kind's own outcome counter bumped once.
+/// Direct commits, forwarded commits, and a direct commit that
+/// completes a materialized pattern's match go through one routine and
+/// leave one shape behind: head version +1, exactly one WAL commit
+/// record whose delta takes the previous head to the new one (the
+/// history row included), the retained window advanced by one, and the
+/// case's own outcome counters bumped once.
 #[test]
 fn every_commit_kind_stages_through_one_routine() {
     use txlog_relational::codec::{decode_frame, Decoder};
@@ -1025,7 +1250,12 @@ fn every_commit_kind_stages_through_one_routine() {
         Counter::CommitsForwarded,
         Counter::EvtMaterialized,
     ];
-    for (kind, counter) in outcome_counters.into_iter().enumerate() {
+    let moved: [&[Counter]; 3] = [
+        &[Counter::CommitsApplied],
+        &[Counter::CommitsForwarded],
+        &[Counter::CommitsApplied, Counter::EvtMaterialized],
+    ];
+    for (kind, moved) in moved.into_iter().enumerate() {
         let store = MemStore::new();
         let m = Metrics::enabled();
         let fired = PatternDef::materialized(
@@ -1080,9 +1310,12 @@ fn every_commit_kind_stages_through_one_routine() {
                 "forwarded"
             }
             _ => {
-                let rel = db.schema().rel_id("FIRED").unwrap();
-                db.install_system_rows("fired", rel, vec![vec![Atom::str("ann")]]);
-                "events/fired"
+                let p = s
+                    .prepare(&tx("delete(tuple('ann', 500), EMP)"), &env)
+                    .unwrap();
+                let (c, _) = s.submit_prepared("fire", &p).unwrap();
+                assert!(!c.forwarded);
+                "fire"
             }
         };
         db.pump_log_writer();
@@ -1103,6 +1336,8 @@ fn every_commit_kind_stages_through_one_routine() {
         let delta = d.delta().unwrap();
         let replayed = delta.apply(&before).unwrap();
         assert_eq!(replayed.content_digest(), after.content_digest(), "{label}");
+        let fired = db.schema().rel_id("FIRED").unwrap();
+        assert_eq!(delta.touches(fired), label == "fire", "{label}");
         // the retained window slid by one: (before, after), closed by
         // this commit's label
         let head = db.head();
@@ -1111,9 +1346,13 @@ fn every_commit_kind_stages_through_one_routine() {
         assert_eq!(states[0].content_digest(), before.content_digest());
         assert_eq!(states[1].content_digest(), after.content_digest());
         assert_eq!(labels, [label]);
-        // and only this kind's outcome counter moved, by one
+        // and only this case's outcome counters moved, by one each
         for (c, was) in outcome_counters.into_iter().zip(before_counts) {
-            assert_eq!(m.get(c) - was, u64::from(c == counter), "{label}: {c:?}");
+            assert_eq!(
+                m.get(c) - was,
+                u64::from(moved.contains(&c)),
+                "{label}: {c:?}"
+            );
         }
     }
 }

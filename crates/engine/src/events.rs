@@ -1,35 +1,35 @@
-//! The reactive-event hub: complex-event automata over the commit
+//! The reactive-event stage: complex-event automata over the commit
 //! stream.
 //!
-//! Every committed [`Delta`] is enqueued (under the head lock, so queue
-//! order is exactly commit order) and dispatched (outside it, on the
-//! committing thread) through the registered [`Automaton`]s. A match
-//! drives two effects:
+//! A pattern's matches drive one of two effects:
 //!
-//! * **Materialization** — patterns registered with
-//!   [`PatternDef::materialized`] install their matches as tuples of a
-//!   system-maintained relation, via a validation-skipping system
-//!   commit (see `Database::install_system_rows`). Inserts are
-//!   if-absent, so re-firing after crash recovery is idempotent —
-//!   delivery into history relations is *at-least-once*.
+//! * **Materialization** — patterns registered at build time with
+//!   [`PatternDef::materialized`] add their matches as tuples of a
+//!   system relation *to the commit that completes them*. Their
+//!   `Materialized` automata live in the head, under its lock:
+//!   `Database::stage` steps each on the candidate's delta and folds
+//!   the new rows (those not already present) into the candidate
+//!   before validation, so the constraints see them and the commit's
+//!   one log record carries them; it absorbs the steps only once the
+//!   commit installs, so a refused commit advances nothing.
 //! * **Notification** — in-process subscribers registered with
 //!   `Database::subscribe_pattern` get a callback per match, in commit
-//!   order. The wire protocol's `Subscribe` rides on this.
-//!
-//! Dispatch is serialized by a `try_lock`ed mutex: whichever committing
-//! thread wins drains the whole queue, so a thread returning from
-//! `commit` has always seen its own commit dispatched (sequential
-//! workflows observe materialized relations immediately), and automata
-//! advance strictly in version order.
+//!   order, after the commit; the wire protocol's `Subscribe` rides on
+//!   this. The `EventHub` enqueues every committed delta under the
+//!   head lock (queue order is commit order) and dispatches it outside
+//!   the lock, on the committing thread, serialized by a `try_lock`ed
+//!   mutex: whichever committer wins drains the whole queue. A callback
+//!   that panics loses its subscription; the others keep being served.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use txlog_base::obs::{Counter, Metrics};
-use txlog_base::{Atom, RelId, Symbol, TxError, TxResult};
-use txlog_events::{Automaton, Binding};
-use txlog_relational::{Delta, Schema};
+use txlog_base::{RelId, Symbol, TxError, TxResult};
+use txlog_events::{Automaton, Binding, Step};
+use txlog_relational::{DbState, Delta, Schema, TupleVal};
 
 pub use txlog_events::{EventKind, Materialize, PTerm, Pattern, PatternDef, PatternError};
 
@@ -59,36 +59,152 @@ pub struct EventNotification {
 
 /// A subscriber callback. Invoked on the committing thread with no
 /// engine locks held; keep it short (enqueue and return) — a slow
-/// callback delays the committer that happens to be draining.
+/// callback delays the committer that happens to be draining. A
+/// callback that panics is unsubscribed.
 pub type EventCallback = Arc<dyn Fn(&EventNotification) + Send + Sync>;
 
-/// The system-commit hook [`EventHub::drain`] hands each pattern's new
-/// rows to: `(pattern name, history relation, rows)`.
-pub(crate) type MaterializeFn<'a> = dyn FnMut(&str, RelId, Vec<Vec<Atom>>) + 'a;
+/// Compile a pattern for registration under `name`. Patterns over
+/// system relations are rejected: a materialization feeding an
+/// automaton would loop, and system relations are engine-written in the
+/// first place.
+fn compile(name: &str, pattern: &Pattern, schema: &Schema) -> TxResult<Automaton> {
+    for rel in pattern.rels() {
+        if schema.by_name(rel).is_some_and(|d| d.system) {
+            return Err(TxError::schema(format!(
+                "event patterns cannot watch system relation {rel} \
+                 (system relations are themselves event-maintained)"
+            )));
+        }
+    }
+    Automaton::compile(pattern, schema)
+        .map_err(|e| TxError::schema(format!("event pattern {name}: {e}")))
+}
 
-/// A materialization, resolved against the schema.
-struct MatSpec {
+/// A build-time pattern and the system relation its matches become
+/// rows of.
+pub(crate) struct Materialized {
+    name: String,
+    automaton: Automaton,
     rel: RelId,
     columns: Vec<Symbol>,
 }
 
-struct Registration {
+/// The materialized patterns' steps on one candidate commit and the rows
+/// they added, held until it installs.
+pub(crate) struct Pending {
+    steps: Vec<Step>,
+    rows: u64,
+}
+
+impl Materialized {
+    /// Compile a definition against a schema that already declares its
+    /// relation (`DatabaseBuilder::event_pattern` adds it).
+    /// Materialization columns must be variables every match certainly
+    /// binds.
+    pub(crate) fn compile(def: &PatternDef, schema: &Schema) -> TxResult<Materialized> {
+        let automaton = compile(&def.name, &def.pattern, schema)?;
+        let (certain, mut columns) = (def.pattern.certain_vars(), Vec::new());
+        for c in &def.materialize.columns {
+            let v = Symbol::new(c);
+            if !certain.contains(&v) {
+                return Err(TxError::schema(format!(
+                    "event pattern {}: materialization column {c} is not \
+                     certainly bound by the pattern",
+                    def.name
+                )));
+            }
+            columns.push(v);
+        }
+        Ok(Materialized {
+            name: def.name.clone(),
+            automaton,
+            rel: schema.rel_id(&def.materialize.relation)?,
+            columns,
+        })
+    }
+
+    /// The pattern's registry name.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Advance over an already-committed delta whose rows are already in
+    /// the state — WAL recovery's replayed suffix. Counts nothing.
+    pub(crate) fn replay(&mut self, delta: &Delta) {
+        self.automaton.advance(delta);
+    }
+}
+
+/// Extend a candidate commit with the rows its delta materializes: step
+/// every automaton on `delta` (absorbing nothing) and insert each new
+/// match's row that `state` does not already hold. Returns the extended
+/// state and delta, and the steps to [`absorb`] once the commit
+/// installs.
+pub(crate) fn materialize(
+    mats: &[Materialized],
+    mut state: DbState,
+    delta: Delta,
+) -> TxResult<(DbState, Delta, Pending)> {
+    let mut rows = Delta::empty();
+    let mut steps = Vec::with_capacity(mats.len());
+    for m in mats {
+        let step = m.automaton.step(&delta);
+        for b in &step.fired.matches {
+            let row: Vec<_> = m.columns.iter().map(|c| b[c]).collect();
+            if !state
+                .relation(m.rel)
+                .is_some_and(|r| r.contains_fields(&row))
+            {
+                let (next, _, d) = state.insert_traced(m.rel, &TupleVal::anonymous(row))?;
+                (state, rows) = (next, rows.compose(&d));
+            }
+        }
+        steps.push(step);
+    }
+    let pending = Pending {
+        steps,
+        rows: rows.tuple_changes() as u64,
+    };
+    let delta = if rows.is_empty() {
+        delta
+    } else {
+        delta.compose(&rows)
+    };
+    Ok((state, delta, pending))
+}
+
+/// Take the steps of a candidate that installed, counting its automaton
+/// work, matches and installed rows.
+pub(crate) fn absorb(mats: &mut [Materialized], pending: Pending, metrics: &Metrics) {
+    for (m, step) in mats.iter_mut().zip(pending.steps) {
+        let fired = m.automaton.absorb(step);
+        metrics.add(Counter::EvtSteps, fired.steps);
+        metrics.add(Counter::EvtMatches, fired.matches.len() as u64);
+    }
+    metrics.add(Counter::EvtMaterialized, pending.rows);
+}
+
+/// One live subscription: its automaton and its callback.
+struct Subscription {
+    id: SubId,
     name: String,
     automaton: Automaton,
-    materialize: Option<MatSpec>,
-    subscribers: Vec<(SubId, EventCallback)>,
+    callback: EventCallback,
 }
 
 struct HubInner {
-    regs: Vec<Registration>,
+    subs: Vec<Subscription>,
     queue: VecDeque<(u64, Delta)>,
     history: VecDeque<(u64, Delta)>,
     next_sub: u64,
 }
 
-/// The engine's event-dispatch stage. One per [`crate::Database`].
+/// The engine's notification stage. One per [`crate::Database`].
 pub(crate) struct EventHub {
-    /// True iff any registration exists — checked before cloning a
+    /// True iff materialized patterns exist: the hub then keeps
+    /// recording history for late subscribers even with none live.
+    record: bool,
+    /// True iff any pattern is registered — checked before cloning a
     /// delta under the head lock, so databases without patterns pay
     /// one atomic load per commit.
     active: AtomicBool,
@@ -98,135 +214,45 @@ pub(crate) struct EventHub {
     dispatch: Mutex<()>,
 }
 
-/// What one queue item resolved to, computed under the inner lock and
-/// effected outside it.
-struct Effects {
-    mats: Vec<(String, RelId, Vec<Vec<Atom>>)>,
-    notes: Vec<(EventCallback, EventNotification)>,
-}
-
-/// Reject patterns over system relations: a materialization feeding an
-/// automaton would loop, and system relations are engine-written in the
-/// first place.
-fn reject_system_rels(pattern: &Pattern, schema: &Schema) -> TxResult<()> {
-    for rel in pattern.rels() {
-        if schema.by_name(rel).is_some_and(|d| d.system) {
-            return Err(TxError::schema(format!(
-                "event patterns cannot watch system relation {rel} \
-                 (system relations are themselves event-maintained)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validate a definition against a schema without registering it — the
-/// builder's early error path.
-pub(crate) fn check_def(def: &PatternDef, schema: &Schema) -> TxResult<()> {
-    reject_system_rels(&def.pattern, schema)?;
-    Automaton::compile(&def.pattern, schema)
-        .map_err(|e| TxError::schema(format!("event pattern {}: {e}", def.name)))?;
-    Ok(())
-}
-
 impl EventHub {
-    pub(crate) fn new() -> EventHub {
+    /// A hub whose history starts with WAL recovery's replayed suffix
+    /// (so a later live subscription can still prime over it), and
+    /// that keeps `record`ing history while no subscription is live —
+    /// set when the database has materialized patterns.
+    pub(crate) fn new(record: bool, recovered: Vec<(u64, Delta)>) -> EventHub {
+        let skip = recovered.len().saturating_sub(HISTORY_CAP);
         EventHub {
-            active: AtomicBool::new(false),
+            active: AtomicBool::new(record),
+            record,
             inner: Mutex::new(HubInner {
-                regs: Vec::new(),
+                subs: Vec::new(),
                 queue: VecDeque::new(),
-                history: VecDeque::new(),
+                history: recovered.into_iter().skip(skip).collect(),
                 next_sub: 0,
             }),
             dispatch: Mutex::new(()),
         }
     }
 
+    /// The hub's state. No callback runs under this lock.
+    fn inner(&self) -> MutexGuard<'_, HubInner> {
+        self.inner.lock().expect("event hub lock")
+    }
+
     pub(crate) fn is_active(&self) -> bool {
         self.active.load(Relaxed)
     }
 
-    /// Pre-seed the dispatch queue with WAL recovery's replayed commit
-    /// suffix, so a subsequent drain replays it through every automaton
-    /// (and re-materializes any match the crash lost).
-    pub(crate) fn seed_replay(&self, replayed: Vec<(u64, Delta)>) {
-        let mut inner = self.inner.lock().expect("event hub lock");
-        inner.queue.extend(replayed);
-    }
-
-    /// Record a recovered suffix as already-dispatched history — the
-    /// no-registrations variant of [`EventHub::seed_replay`], so a later
-    /// live subscription can still prime over it.
-    pub(crate) fn seed_history(&self, replayed: Vec<(u64, Delta)>) {
-        let mut inner = self.inner.lock().expect("event hub lock");
-        inner.history.extend(replayed);
-        while inner.history.len() > HISTORY_CAP {
-            inner.history.pop_front();
-        }
-    }
-
-    /// Register a build-time pattern definition. The schema already
-    /// declares the materialized relation (the builder added it).
-    pub(crate) fn register_def(
-        &self,
-        def: &PatternDef,
-        schema: &Schema,
-        metrics: &Metrics,
-    ) -> TxResult<()> {
-        reject_system_rels(&def.pattern, schema)?;
-        let automaton = Automaton::compile(&def.pattern, schema)
-            .map_err(|e| TxError::schema(format!("event pattern {}: {e}", def.name)))?;
-        let materialize = match &def.materialize {
-            None => None,
-            Some(m) => {
-                let certain = def.pattern.certain_vars();
-                let mut columns = Vec::with_capacity(m.columns.len());
-                for c in &m.columns {
-                    let v = Symbol::new(c);
-                    if !certain.contains(&v) {
-                        return Err(TxError::schema(format!(
-                            "event pattern {}: materialization column {c} is not \
-                             certainly bound by the pattern",
-                            def.name
-                        )));
-                    }
-                    columns.push(v);
-                }
-                Some(MatSpec {
-                    rel: schema.rel_id(&m.relation)?,
-                    columns,
-                })
-            }
-        };
-        let mut inner = self.inner.lock().expect("event hub lock");
-        if inner.regs.iter().any(|r| r.name == def.name) {
-            return Err(TxError::schema(format!(
-                "event pattern {} is already registered",
-                def.name
-            )));
-        }
-        inner.regs.push(Registration {
-            name: def.name.clone(),
-            automaton,
-            materialize,
-            subscribers: Vec::new(),
-        });
-        drop(inner);
-        self.active.store(true, Relaxed);
-        metrics.bump(Counter::EvtPatterns);
-        Ok(())
-    }
-
-    /// Register a live, subscription-only pattern. The fresh automaton
-    /// is primed over the retained history *silently* (no
-    /// notifications): matches completing at or after the subscription
-    /// are delivered, matches wholly in the past are not. `primer`
-    /// supplements the hub's own history (which only accumulates while
-    /// some registration exists) with deltas the caller retained — the
-    /// head's recent delta log; overlapping versions are advanced once,
-    /// and versions still queued for dispatch are left to the dispatcher
-    /// (they advance this automaton like any other).
+    /// Register a live pattern under a name no materialized pattern
+    /// holds (the caller checks). The fresh automaton is primed over the
+    /// retained history *silently* (no notifications): matches
+    /// completing at or after the subscription are delivered, matches
+    /// wholly in the past are not. `primer` supplements the hub's own
+    /// history (which only accumulates while some pattern is
+    /// registered) with deltas the caller retained — the head's recent
+    /// delta log; overlapping versions are advanced once, and versions
+    /// still queued for dispatch are left to the dispatcher (they
+    /// advance this automaton like any other).
     pub(crate) fn subscribe(
         &self,
         name: &str,
@@ -236,11 +262,9 @@ impl EventHub {
         metrics: &Metrics,
         primer: &[(u64, Delta)],
     ) -> TxResult<SubId> {
-        reject_system_rels(pattern, schema)?;
-        let mut automaton = Automaton::compile(pattern, schema)
-            .map_err(|e| TxError::schema(format!("event pattern {name}: {e}")))?;
-        let mut inner = self.inner.lock().expect("event hub lock");
-        if inner.regs.iter().any(|r| r.name == name) {
+        let mut automaton = compile(name, pattern, schema)?;
+        let mut inner = self.inner();
+        if inner.subs.iter().any(|s| s.name == name) {
             return Err(TxError::schema(format!(
                 "event pattern {name} is already registered"
             )));
@@ -261,11 +285,11 @@ impl EventHub {
         }
         let id = SubId(inner.next_sub);
         inner.next_sub += 1;
-        inner.regs.push(Registration {
+        inner.subs.push(Subscription {
+            id,
             name: name.to_string(),
             automaton,
-            materialize: None,
-            subscribers: vec![(id, callback)],
+            callback,
         });
         drop(inner);
         self.active.store(true, Relaxed);
@@ -273,113 +297,97 @@ impl EventHub {
         Ok(id)
     }
 
-    /// Drop a subscription; the registration goes with it when nothing
-    /// else (a materialization, another subscriber) holds it. Returns
-    /// false for an unknown (or already-removed) id.
+    /// Drop a subscription. Returns false for an unknown (or
+    /// already-removed) id.
     pub(crate) fn unsubscribe(&self, id: SubId) -> bool {
-        let mut inner = self.inner.lock().expect("event hub lock");
-        let mut found = false;
-        for reg in &mut inner.regs {
-            reg.subscribers.retain(|(s, _)| {
-                if *s == id {
-                    found = true;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        inner
-            .regs
-            .retain(|r| r.materialize.is_some() || !r.subscribers.is_empty());
-        if inner.regs.is_empty() {
+        let mut inner = self.inner();
+        let before = inner.subs.len();
+        inner.subs.retain(|s| s.id != id);
+        if inner.subs.is_empty() && !self.record {
             self.active.store(false, Relaxed);
         }
-        found
+        inner.subs.len() < before
     }
 
     /// Enqueue a committed delta. Caller holds the head lock — that is
     /// what makes queue order commit order.
     pub(crate) fn enqueue(&self, version: u64, delta: Delta) {
-        let mut inner = self.inner.lock().expect("event hub lock");
-        inner.queue.push_back((version, delta));
+        self.inner().queue.push_back((version, delta));
     }
 
-    /// Drain the queue through every automaton. `materialize` performs
-    /// the system commit for one pattern's new rows (it takes the head
-    /// lock; no hub lock is held around the call). Non-blocking when
-    /// another thread is already draining — the current drainer picks
-    /// the entry up.
-    pub(crate) fn drain(&self, metrics: &Metrics, materialize: &mut MaterializeFn<'_>) {
-        loop {
-            let Ok(guard) = self.dispatch.try_lock() else {
-                return;
+    /// Drain the queue through every subscription. Called after every
+    /// commit, outside the head lock. Non-blocking when another thread
+    /// is already draining — the current drainer picks the entry up.
+    pub(crate) fn drain(&self, metrics: &Metrics) {
+        while self.is_active() {
+            let guard = match self.dispatch.try_lock() {
+                Ok(guard) => guard,
+                // a drainer unwound: it guarded no data, so carry on
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
             };
             loop {
-                let item = {
-                    let mut inner = self.inner.lock().expect("event hub lock");
-                    inner.queue.pop_front()
-                };
+                let item = self.inner().queue.pop_front();
                 let Some((version, delta)) = item else { break };
-                let effects = self.advance_all(version, delta, metrics);
-                for (name, rel, rows) in effects.mats {
-                    materialize(&name, rel, rows);
-                }
-                for (cb, note) in effects.notes {
-                    metrics.bump(Counter::EvtNotificationsSent);
-                    cb(&note);
-                }
+                let notes = self.advance_all(version, delta, metrics);
+                self.deliver(notes, metrics);
             }
             drop(guard);
             // A commit that raced our unlock may have enqueued after we
             // saw an empty queue; loop once more rather than strand it.
-            if self.inner.lock().expect("event hub lock").queue.is_empty() {
+            if self.inner().queue.is_empty() {
                 return;
             }
         }
     }
 
-    /// Advance every automaton by one delta (under the inner lock) and
-    /// collect the effects to apply outside it.
-    fn advance_all(&self, version: u64, delta: Delta, metrics: &Metrics) -> Effects {
+    /// Advance every subscription's automaton by one delta (under the
+    /// inner lock) and collect the notifications to deliver outside it.
+    fn advance_all(
+        &self,
+        version: u64,
+        delta: Delta,
+        metrics: &Metrics,
+    ) -> Vec<(SubId, EventCallback, EventNotification)> {
         let _span = metrics.span("events.dispatch");
-        let mut effects = Effects {
-            mats: Vec::new(),
-            notes: Vec::new(),
-        };
-        let mut inner = self.inner.lock().expect("event hub lock");
-        for reg in &mut inner.regs {
-            let fired = reg.automaton.advance(&delta);
+        let mut notes = Vec::new();
+        let mut inner = self.inner();
+        for sub in &mut inner.subs {
+            let fired = sub.automaton.advance(&delta);
             metrics.add(Counter::EvtSteps, fired.steps);
-            if fired.matches.is_empty() {
-                continue;
-            }
             metrics.add(Counter::EvtMatches, fired.matches.len() as u64);
-            if let Some(m) = &reg.materialize {
-                let rows: Vec<Vec<Atom>> = fired
-                    .matches
-                    .iter()
-                    .map(|b| m.columns.iter().map(|c| b[c]).collect())
-                    .collect();
-                effects.mats.push((reg.name.clone(), m.rel, rows));
-            }
-            for (_, cb) in &reg.subscribers {
-                for binding in &fired.matches {
-                    effects.notes.push((
-                        Arc::clone(cb),
-                        EventNotification {
-                            name: reg.name.clone(),
-                            version,
-                            binding: binding.clone(),
-                        },
-                    ));
-                }
+            for binding in fired.matches {
+                let note = EventNotification {
+                    name: sub.name.clone(),
+                    version,
+                    binding,
+                };
+                notes.push((sub.id, Arc::clone(&sub.callback), note));
             }
         }
         inner.history.push_back((version, delta));
         while inner.history.len() > HISTORY_CAP {
             inner.history.pop_front();
         }
-        effects
+        notes
+    }
+
+    /// Invoke the callbacks. One that panics is unsubscribed, and its
+    /// notification and any others still due to it count as dropped.
+    fn deliver(&self, notes: Vec<(SubId, EventCallback, EventNotification)>, metrics: &Metrics) {
+        let mut failed = Vec::new();
+        for (id, callback, note) in notes {
+            let delivered =
+                !failed.contains(&id) && catch_unwind(AssertUnwindSafe(|| callback(&note))).is_ok();
+            if delivered {
+                metrics.bump(Counter::EvtNotificationsSent);
+            } else {
+                if !failed.contains(&id) {
+                    failed.push(id);
+                    self.unsubscribe(id);
+                }
+                metrics.bump(Counter::EvtNotificationsDropped);
+            }
+        }
     }
 }

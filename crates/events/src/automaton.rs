@@ -19,9 +19,14 @@
 //! * `And` emits `newL ⋈ rightTable ∪ leftTable ⋈ newR ∪ newL ⋈ newR`,
 //!   then absorbs both new sides — a match appears at the version of
 //!   its later constituent.
-//! * `Without` absorbs this commit's new blockers first, then filters
-//!   the new left matches — a blocker at the same version suppresses,
-//!   a later blocker never retracts.
+//! * `Without` filters the new left matches against the blocker table
+//!   *and* this commit's new blockers — a blocker at the same version
+//!   suppresses, a later blocker never retracts.
+//!
+//! An advance is [`Automaton::step`], which reads the automaton only,
+//! then [`Automaton::absorb`], which adds the step's table entries. The
+//! commit pipeline steps a candidate's delta before validating it and
+//! absorbs only what installs.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -41,10 +46,25 @@ pub struct Fired {
     pub steps: u64,
 }
 
-/// A compiled, stateful pattern evaluator.
+/// One advance computed but not taken: what the delta fires, plus the
+/// binding-table entries absorbing it adds. Produced by
+/// [`Automaton::step`] without touching the automaton, so dropping it
+/// leaves the automaton exactly as it was.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Step {
+    /// The matches and node visits of the advance.
+    pub fired: Fired,
+    /// New entries, by index into the automaton's tables.
+    adds: Vec<(usize, Binding)>,
+}
+
+/// A compiled, stateful pattern evaluator: the node tree, and the
+/// binding tables of its `seq`, `and` and `without` nodes, which the
+/// nodes name by index.
 #[derive(Clone, Debug)]
 pub struct Automaton {
     root: Node,
+    tables: Vec<Table>,
 }
 
 impl Automaton {
@@ -53,22 +73,45 @@ impl Automaton {
     /// node precomputes its operands' shared variables as the join
     /// key.
     pub fn compile(pattern: &Pattern, schema: &Schema) -> Result<Automaton, PatternError> {
-        Ok(Automaton {
-            root: compile_node(pattern, schema)?,
-        })
+        let mut tables = Vec::new();
+        let root = compile_node(pattern, schema, &mut tables)?;
+        Ok(Automaton { root, tables })
     }
 
     /// Feed one committed delta; returns the pattern's new matches.
     /// Deltas must arrive in commit order (the caller holds the
-    /// version ordering).
+    /// version ordering). [`step`](Automaton::step) then
+    /// [`absorb`](Automaton::absorb).
     pub fn advance(&mut self, delta: &Delta) -> Fired {
+        let step = self.step(delta);
+        self.absorb(step)
+    }
+
+    /// The advance `delta` would make, computed without changing the
+    /// automaton: the next delta in commit order, whether or not it
+    /// ends up committed.
+    pub fn step(&self, delta: &Delta) -> Step {
         let events = events_of_delta(delta);
         let mut steps = 0;
-        let new = self.root.advance(&events, &mut steps);
-        Fired {
-            matches: new.into_iter().collect(),
-            steps,
+        let mut adds = Vec::new();
+        let new = self.root.step(&self.tables, &events, &mut steps, &mut adds);
+        Step {
+            fired: Fired {
+                matches: new.into_iter().collect(),
+                steps,
+            },
+            adds,
         }
+    }
+
+    /// Take a step computed by [`step`](Automaton::step) on this
+    /// automaton with nothing absorbed since: its delta is now part of
+    /// the history. Returns what the step fired.
+    pub fn absorb(&mut self, step: Step) -> Fired {
+        for (table, b) in step.adds {
+            self.tables[table].add(b);
+        }
+        step.fired
     }
 }
 
@@ -105,12 +148,9 @@ impl Table {
             .collect()
     }
 
-    fn add(&mut self, b: &Binding) {
+    fn add(&mut self, b: Binding) {
         if self.seen.insert(b.clone()) {
-            self.by_key
-                .entry(self.project(b))
-                .or_default()
-                .push(b.clone());
+            self.by_key.entry(self.project(&b)).or_default().push(b);
         }
     }
 
@@ -120,6 +160,12 @@ impl Table {
     /// (ones an `Or` branch binds only sometimes).
     fn compatible<'a>(&'a self, b: &Binding) -> impl Iterator<Item = &'a Binding> + 'a {
         self.by_key.get(&self.project(b)).into_iter().flatten()
+    }
+
+    /// `b` merged with each compatible match.
+    fn join<'a>(&'a self, b: &'a Binding) -> impl Iterator<Item = Binding> + 'a {
+        self.compatible(b)
+            .filter_map(move |other| merge_bindings(b, other))
     }
 }
 
@@ -137,18 +183,18 @@ enum Node {
     And {
         l: Box<Node>,
         r: Box<Node>,
-        left: Table,
-        right: Table,
+        left: usize,
+        right: usize,
     },
     Seq {
         l: Box<Node>,
         r: Box<Node>,
-        left: Table,
+        left: usize,
     },
     Without {
         l: Box<Node>,
         r: Box<Node>,
-        blockers: Table,
+        blockers: usize,
     },
 }
 
@@ -160,7 +206,18 @@ fn shared_vars(a: &Pattern, b: &Pattern) -> Vec<Symbol> {
     shared
 }
 
-fn compile_node(pattern: &Pattern, schema: &Schema) -> Result<Node, PatternError> {
+/// A new empty table joining on `key`, by index.
+fn table(tables: &mut Vec<Table>, key: Vec<Symbol>) -> usize {
+    tables.push(Table::new(key));
+    tables.len() - 1
+}
+
+fn compile_node(
+    pattern: &Pattern,
+    schema: &Schema,
+    tables: &mut Vec<Table>,
+) -> Result<Node, PatternError> {
+    let mut node = |p: &Pattern| compile_node(p, schema, tables).map(Box::new);
     Ok(match pattern {
         Pattern::Prim(p) => {
             let decl = schema
@@ -180,28 +237,24 @@ fn compile_node(pattern: &Pattern, schema: &Schema) -> Result<Node, PatternError
             }
         }
         Pattern::Or(a, b) => Node::Or {
-            l: Box::new(compile_node(a, schema)?),
-            r: Box::new(compile_node(b, schema)?),
+            l: node(a)?,
+            r: node(b)?,
         },
         Pattern::And(a, b) => {
-            let key = shared_vars(a, b);
-            Node::And {
-                l: Box::new(compile_node(a, schema)?),
-                r: Box::new(compile_node(b, schema)?),
-                left: Table::new(key.clone()),
-                right: Table::new(key),
-            }
+            let (l, r, key) = (node(a)?, node(b)?, shared_vars(a, b));
+            let (left, right) = (table(tables, key.clone()), table(tables, key));
+            Node::And { l, r, left, right }
         }
-        Pattern::Seq(a, b) => Node::Seq {
-            l: Box::new(compile_node(a, schema)?),
-            r: Box::new(compile_node(b, schema)?),
-            left: Table::new(shared_vars(a, b)),
-        },
-        Pattern::Without(a, b) => Node::Without {
-            l: Box::new(compile_node(a, schema)?),
-            r: Box::new(compile_node(b, schema)?),
-            blockers: Table::new(shared_vars(a, b)),
-        },
+        Pattern::Seq(a, b) => {
+            let (l, r) = (node(a)?, node(b)?);
+            let left = table(tables, shared_vars(a, b));
+            Node::Seq { l, r, left }
+        }
+        Pattern::Without(a, b) => {
+            let (l, r) = (node(a)?, node(b)?);
+            let blockers = table(tables, shared_vars(a, b));
+            Node::Without { l, r, blockers }
+        }
     })
 }
 
@@ -229,10 +282,22 @@ pub(crate) fn unify(terms: &[PTerm], event: &Event) -> Option<Binding> {
 }
 
 impl Node {
-    /// New matches this commit, deduplicated. The `BTreeSet` return
-    /// keeps downstream joins and the dispatch order deterministic.
-    fn advance(&mut self, events: &[Event], steps: &mut u64) -> BTreeSet<Binding> {
+    /// New matches this commit, deduplicated, with the entries this
+    /// commit adds to the tables pushed onto `adds`. The `BTreeSet`
+    /// return keeps downstream joins and the dispatch order
+    /// deterministic.
+    fn step(
+        &self,
+        tables: &[Table],
+        events: &[Event],
+        steps: &mut u64,
+        adds: &mut Vec<(usize, Binding)>,
+    ) -> BTreeSet<Binding> {
         *steps += 1;
+        let mut operands = |l: &Node, r: &Node| {
+            let new_l = l.step(tables, events, steps, adds);
+            (new_l, r.step(tables, events, steps, adds))
+        };
         match self {
             Node::Prim { kind, rel, terms } => events
                 .iter()
@@ -240,78 +305,52 @@ impl Node {
                 .filter_map(|e| unify(terms, e))
                 .collect(),
             Node::Or { l, r } => {
-                let mut out = l.advance(events, steps);
-                out.extend(r.advance(events, steps));
+                let (mut out, new_r) = operands(l, r);
+                out.extend(new_r);
                 out
             }
             Node::And { l, r, left, right } => {
-                let new_l = l.advance(events, steps);
-                let new_r = r.advance(events, steps);
-                let mut out = BTreeSet::new();
-                for b in &new_l {
-                    for other in right.compatible(b) {
-                        if let Some(m) = merge_bindings(b, other) {
-                            out.insert(m);
-                        }
-                    }
-                }
-                for b in &new_r {
-                    for other in left.compatible(b) {
-                        if let Some(m) = merge_bindings(b, other) {
-                            out.insert(m);
-                        }
-                    }
-                }
-                for a in &new_l {
-                    for b in &new_r {
-                        if let Some(m) = merge_bindings(a, b) {
-                            out.insert(m);
-                        }
-                    }
-                }
-                for b in &new_l {
-                    left.add(b);
-                }
-                for b in &new_r {
-                    right.add(b);
-                }
+                let (new_l, new_r) = operands(l, r);
+                let (left_t, right_t) = (&tables[*left], &tables[*right]);
+                let mut out: BTreeSet<Binding> =
+                    new_l.iter().flat_map(|b| right_t.join(b)).collect();
+                out.extend(new_r.iter().flat_map(|b| left_t.join(b)));
+                out.extend(
+                    new_l
+                        .iter()
+                        .flat_map(|a| new_r.iter().filter_map(move |b| merge_bindings(a, b))),
+                );
+                adds.extend(new_l.into_iter().map(|b| (*left, b)));
+                adds.extend(new_r.into_iter().map(|b| (*right, b)));
                 out
             }
             Node::Seq { l, r, left } => {
-                let new_l = l.advance(events, steps);
-                let new_r = r.advance(events, steps);
-                // Join before absorbing new_l: only strictly earlier
-                // left matches may pair with this commit's right
+                let (new_l, new_r) = operands(l, r);
+                // Join against the table as it stands: only strictly
+                // earlier left matches may pair with this commit's right
                 // matches.
-                let mut out = BTreeSet::new();
-                for b in &new_r {
-                    for other in left.compatible(b) {
-                        if let Some(m) = merge_bindings(b, other) {
-                            out.insert(m);
-                        }
-                    }
-                }
-                for b in &new_l {
-                    left.add(b);
-                }
+                let out = new_r.iter().flat_map(|b| tables[*left].join(b)).collect();
+                adds.extend(new_l.into_iter().map(|b| (*left, b)));
                 out
             }
             Node::Without { l, r, blockers } => {
-                let new_l = l.advance(events, steps);
-                let new_r = r.advance(events, steps);
-                // Blockers at the same version suppress, so absorb
-                // them first.
-                for b in &new_r {
-                    blockers.add(b);
-                }
-                new_l
+                let (new_l, new_r) = operands(l, r);
+                // Blockers at the same version suppress too: key them
+                // like the table so each left match probes both once.
+                let table = &tables[*blockers];
+                let mut now = Table::new(table.key.clone());
+                new_r.iter().for_each(|b| now.add(b.clone()));
+                let out = new_l
                     .into_iter()
                     .filter(|b| {
-                        !blockers
+                        !table
                             .compatible(b)
+                            .chain(now.compatible(b))
                             .any(|other| merge_bindings(b, other).is_some())
                     })
-                    .collect()
+                    .collect();
+                adds.extend(new_r.into_iter().map(|b| (*blockers, b)));
+                out
             }
         }
     }

@@ -33,7 +33,7 @@ pub mod event;
 pub mod naive;
 pub mod pattern;
 
-pub use automaton::{Automaton, Fired};
+pub use automaton::{Automaton, Fired, Step};
 pub use event::{events_of_delta, merge_bindings, Binding, Event};
 pub use naive::naive_matches;
 pub use pattern::{EventKind, Materialize, PTerm, Pattern, PatternDef, PatternError, Prim};

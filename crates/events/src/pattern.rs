@@ -247,9 +247,6 @@ pub enum PatternError {
         /// The term count the pattern supplied.
         got: usize,
     },
-    /// The pattern or its materialization is rejected at registration
-    /// (duplicate name, unknown column variable, …).
-    Registration(String),
 }
 
 impl fmt::Display for PatternError {
@@ -263,35 +260,27 @@ impl fmt::Display for PatternError {
                 f,
                 "pattern term count {got} does not match arity {expected} of {rel}"
             ),
-            PatternError::Registration(msg) => write!(f, "pattern registration error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for PatternError {}
 
-/// A named pattern as users register it: the pattern itself plus an
-/// optional materialization into a system-maintained relation.
+/// A named pattern registered when a database is built: the pattern
+/// itself plus its materialization into a system-maintained relation.
+/// (Live, notification-only patterns are subscriptions instead, added
+/// to a running database.)
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PatternDef {
-    /// Registry name (unique per database; also the subscription key).
+    /// Registry name (unique per database, subscriptions included).
     pub name: String,
     /// The pattern.
     pub pattern: Pattern,
-    /// If set, matches are installed as tuples of a system relation.
-    pub materialize: Option<Materialize>,
+    /// Where matches are installed as tuples.
+    pub materialize: Materialize,
 }
 
 impl PatternDef {
-    /// A subscription-only pattern (no materialized relation).
-    pub fn named(name: &str, pattern: Pattern) -> PatternDef {
-        PatternDef {
-            name: name.to_string(),
-            pattern,
-            materialize: None,
-        }
-    }
-
     /// Materialize matches into `relation`, one column per listed
     /// pattern variable.
     pub fn materialized(
@@ -303,10 +292,10 @@ impl PatternDef {
         PatternDef {
             name: name.to_string(),
             pattern,
-            materialize: Some(Materialize {
+            materialize: Materialize {
                 relation: relation.to_string(),
                 columns: columns.iter().map(|c| c.to_string()).collect(),
-            }),
+            },
         }
     }
 }

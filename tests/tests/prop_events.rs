@@ -169,20 +169,28 @@ proptest! {
     /// Feeding commits one delta at a time through the automaton
     /// yields exactly the match set a full-history re-evaluation
     /// computes — same versions, same bindings, nothing extra,
-    /// nothing lost.
+    /// nothing lost. Before each advance the automaton also takes a
+    /// `step` on a delta from an unrelated history and drops it, as
+    /// the commit pipeline does with a refused candidate: a step that
+    /// is not absorbed must change nothing.
     #[test]
     fn automaton_agrees_with_full_history_reevaluation(
         commits in history_strategy(),
+        refused in history_strategy(),
         pattern in pattern_strategy(),
     ) {
         let schema = base_schema();
         let (history, _) = build_history(&schema, &commits);
+        let (refused, _) = build_history(&schema, &refused);
         let naive = naive_matches(&pattern, &schema, &history)
             .expect("generated patterns are well-formed");
         let mut automaton =
             Automaton::compile(&pattern, &schema).expect("generated patterns compile");
         let mut incremental = BTreeSet::new();
-        for (v, delta) in &history {
+        for (i, (v, delta)) in history.iter().enumerate() {
+            if let Some((_, other)) = refused.get(i % refused.len().max(1)) {
+                drop(automaton.step(other));
+            }
             for m in automaton.advance(delta).matches {
                 incremental.insert((*v, m));
             }
@@ -203,9 +211,10 @@ proptest! {
     /// Kill-and-recover differential: commit a random prefix, drop
     /// the database mid-history, reopen from the WAL bytes, commit
     /// the rest. The auto-maintained history relation must equal the
-    /// naive oracle's projection over the whole history — recovery
-    /// rebuilds the automaton state, and at-least-once redelivery is
-    /// absorbed by the insert-if-absent materialization.
+    /// naive oracle's projection over the whole history — each row is
+    /// logged in the record of the commit that matched it, and
+    /// recovery rebuilds the automaton state from the replayed
+    /// suffix.
     #[test]
     fn materialized_history_survives_kill_and_recover(
         commits in history_strategy(),
@@ -284,32 +293,63 @@ proptest! {
     }
 }
 
+/// How [`dispatch_work`] registers its one pattern.
+#[derive(Clone, Copy, Debug)]
+enum Registration {
+    /// A live subscription, advanced after each commit.
+    Subscribed,
+    /// A build-time materialized pattern, stepped under the head lock
+    /// inside each commit.
+    Materialized,
+}
+
 /// Run `depth` burn-in commits, then a window of `window` commits,
-/// against a fresh database whose only registration is a live
-/// `seq(insert(R, X, Y), delete(R, X, _))` subscription. Returns the
-/// window's `(evt_steps, matches)`.
+/// against a fresh database whose only registration is
+/// `seq(insert(R, X, Y), delete(R, X, _))`, registered as `kind`.
+/// Returns the window's `(evt_steps, matches, delivered)`: `matches` is
+/// what the automaton computed (`evt_matches`), `delivered` what reached
+/// the subscriber's callback or became `HIST` rows.
 ///
 /// Commit `i` inserts a unique tuple; every fourth commit also deletes
 /// the tuple from two commits back (the deleted residues are 1 mod 4,
 /// so nothing is deleted twice). The pattern therefore completes once
 /// per fourth commit while its left-hand table grows without bound.
-fn dispatch_work(depth: u64, window: u64) -> (u64, u64) {
+fn dispatch_work(kind: Registration, depth: u64, window: u64) -> (u64, u64, u64) {
     let metrics = Metrics::enabled();
-    let db = Database::builder(base_schema())
-        .metrics(metrics.clone())
-        .build()
-        .expect("database builds");
-    let matches = Arc::new(AtomicU64::new(0));
-    let sink = Arc::clone(&matches);
     let pattern = Pattern::parse("seq(insert(R, X, Y), delete(R, X, _))").expect("pattern parses");
-    db.subscribe_pattern(
-        "depth",
-        &pattern,
-        Arc::new(move |_| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        }),
-    )
-    .expect("subscription registers");
+    let builder = Database::builder(base_schema()).metrics(metrics.clone());
+    let db = match kind {
+        Registration::Subscribed => builder,
+        Registration::Materialized => builder
+            .event_pattern(PatternDef::materialized(
+                "depth",
+                pattern.clone(),
+                "HIST",
+                &["X"],
+            ))
+            .expect("pattern registers"),
+    }
+    .build()
+    .expect("database builds");
+    let notified = Arc::new(AtomicU64::new(0));
+    if let Registration::Subscribed = kind {
+        let sink = Arc::clone(&notified);
+        db.subscribe_pattern(
+            "depth",
+            &pattern,
+            Arc::new(move |_| {
+                sink.fetch_add(1, Ordering::Relaxed);
+            }),
+        )
+        .expect("subscription registers");
+    }
+    let delivered = || match kind {
+        Registration::Subscribed => notified.load(Ordering::Relaxed),
+        Registration::Materialized => {
+            let hist = db.schema().rel_id("HIST").expect("HIST resolves");
+            db.snapshot().relation(hist).map_or(0, |r| r.len() as u64)
+        }
+    };
 
     let ctx = ParseCtx::with_relations(&["R", "S"]);
     let env = Env::new();
@@ -330,16 +370,18 @@ fn dispatch_work(depth: u64, window: u64) -> (u64, u64) {
     for i in 0..depth {
         commit(i);
     }
-    let (steps0, matches0) = (
+    let (steps0, matches0, delivered0) = (
         metrics.get(Counter::EvtSteps),
-        matches.load(Ordering::Relaxed),
+        metrics.get(Counter::EvtMatches),
+        delivered(),
     );
     for i in depth..depth + window {
         commit(i);
     }
     (
         metrics.get(Counter::EvtSteps) - steps0,
-        matches.load(Ordering::Relaxed) - matches0,
+        metrics.get(Counter::EvtMatches) - matches0,
+        delivered() - delivered0,
     )
 }
 
@@ -347,17 +389,28 @@ fn dispatch_work(depth: u64, window: u64) -> (u64, u64) {
 /// keyed on the operands' shared variables, so its work per commit is
 /// O(delta), not O(history): a 256-commit window costs exactly the
 /// same `evt_steps` at history depth 0 and after 4096 commits have
-/// grown the partial-match table.
+/// grown the partial-match table. For a materialized pattern that work
+/// runs under the head lock, so this also pins the lock's share.
 #[test]
 fn automaton_work_per_commit_is_independent_of_history_depth() {
     const WINDOW: u64 = 256;
     const DEEP: u64 = 4096;
-    let (steps_shallow, matches_shallow) = dispatch_work(0, WINDOW);
-    let (steps_deep, matches_deep) = dispatch_work(DEEP, WINDOW);
-    assert_eq!(matches_shallow, WINDOW / 4, "every fourth commit matches");
-    assert_eq!(matches_deep, WINDOW / 4, "depth does not change matching");
-    assert_eq!(
-        steps_shallow, steps_deep,
-        "per-commit automaton work must not depend on history depth"
-    );
+    for kind in [Registration::Subscribed, Registration::Materialized] {
+        let (steps_shallow, matches_shallow, delivered_shallow) = dispatch_work(kind, 0, WINDOW);
+        let (steps_deep, matches_deep, delivered_deep) = dispatch_work(kind, DEEP, WINDOW);
+        assert_eq!(
+            (matches_shallow, delivered_shallow),
+            (WINDOW / 4, WINDOW / 4),
+            "{kind:?}: every fourth commit matches, and each match is delivered"
+        );
+        assert_eq!(
+            (matches_deep, delivered_deep),
+            (WINDOW / 4, WINDOW / 4),
+            "{kind:?}: depth does not change matching or delivery"
+        );
+        assert_eq!(
+            steps_shallow, steps_deep,
+            "{kind:?}: per-commit automaton work must not depend on history depth"
+        );
+    }
 }
