@@ -141,9 +141,9 @@ fn cache_exercise(metrics: &Metrics) {
 /// A single-threaded walk through every branch of the session commit
 /// pipeline, so the commit counters are pinned in the baseline: an
 /// uncontended apply, a stale-but-disjoint delta forward, a conflicted
-/// retry, a `try_commit` conflict, and a constraint validation with one
-/// read-set skip. Deterministic because there is exactly one thread —
-/// the interleaving is the program order.
+/// retry, a single-attempt prepared-commit conflict, and a constraint
+/// validation with one read-set skip. Deterministic because there is
+/// exactly one thread — the interleaving is the program order.
 fn commit_exercise(metrics: &Metrics) {
     use txlog::constraints::{Checker, Hints};
     use txlog::engine::{CommitError, Database, RetryPolicy};
@@ -203,9 +203,10 @@ fn commit_exercise(metrics: &Metrics) {
     writer
         .commit("hire-eli", &staff("eli", 300), &env)
         .expect("commits");
+    let stale = once.prepare(&staff("fay", 400), &env).expect("prepares");
     let err = once
-        .try_commit("hire-fay", &staff("fay", 400), &env)
-        .expect_err("stale overlapping try_commit conflicts");
+        .commit_prepared("hire-fay", &stale)
+        .expect_err("stale overlapping prepared commit conflicts");
     assert!(matches!(err, CommitError::Conflict { .. }));
     // constraint violation: validated, rejected, not installed
     let err = writer

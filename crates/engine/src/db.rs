@@ -21,10 +21,11 @@
 //!    re-execution needed. Disjointness of the full footprint means the
 //!    transaction would have read the same values and written the same
 //!    changes at the moved head, so the forward is serializable.
-//! 4. Otherwise the commit *conflicts*: the session re-executes against
-//!    a fresh snapshot after a bounded exponential backoff, up to
-//!    [`RetryPolicy::max_retries`] times, then surfaces
-//!    [`CommitError::RetriesExhausted`].
+//! 4. Otherwise the commit *conflicts*: the fused [`Session::commit`]
+//!    re-executes against a fresh snapshot after a bounded exponential
+//!    backoff, up to [`RetryPolicy::max_retries`] times, then surfaces
+//!    [`CommitError::RetriesExhausted`]; a prepared or block commit
+//!    makes one attempt and surfaces [`CommitError::Conflict`].
 //!
 //! However the candidate was chosen, one routine, `Database::stage`,
 //! makes it the current state; nothing else calls `Head::install`. A
@@ -303,10 +304,11 @@ impl Database {
 
     /// The atomic section of every commit: make the candidate
     /// `(state, delta)` the current state, or fail leaving the head as
-    /// it was. In order: step the materialized patterns on the delta
-    /// and fold their new rows into the candidate; validate; encode the
-    /// log record and submit it to the group committer, the last point
-    /// of failure; install and absorb the patterns' steps; count;
+    /// it was. In order: refuse a delta that writes a system relation
+    /// (only the engine writes those); step the materialized patterns on
+    /// the delta and fold their new rows into the candidate; validate;
+    /// encode the log record and submit it to the group committer, the
+    /// last point of failure; install and absorb the patterns' steps; count;
     /// enqueue for notification — under the head lock, so queue order
     /// is commit order. Caller holds the lock and dispatches events
     /// after releasing it. The append and fsync run on the log-writer
@@ -319,6 +321,11 @@ impl Database {
         delta: Delta,
         kind: CommitKind,
     ) -> Result<(u64, Arc<DbState>, CommitTicket), CommitError> {
+        let system = |id| self.schema.by_id(id).filter(|d| d.system);
+        if let Some(d) = delta.touched().find_map(system) {
+            let msg = format!("{} is a system relation: only the engine writes it", d.name);
+            return Err(CommitError::Execution(TxError::eval(msg)));
+        }
         let (state, delta, pending) = events::materialize(&head.materialized, state, delta)?;
         self.validate(head, &state, &delta, label)?;
         let version = head.version + 1;

@@ -13,8 +13,9 @@ use txlog_base::TxError;
 #[derive(Debug)]
 pub enum CommitError {
     /// The head moved past the session's snapshot and the transaction's
-    /// footprint overlapped the concurrently committed deltas. Only
-    /// [`Session::try_commit`] surfaces this; [`Session::commit`]
+    /// footprint overlapped the concurrently committed deltas. The
+    /// single attempts, [`Session::submit_prepared`] and the block commit
+    /// [`Session::submit_block`], surface this; [`Session::commit`]
     /// retries until the policy is exhausted.
     Conflict {
         /// The head version the commit raced against.

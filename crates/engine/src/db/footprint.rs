@@ -102,11 +102,11 @@ impl Footprint {
         }
     }
 
-    /// Everything this footprint touches, demoted to reads — how a
-    /// dry-run execution is accounted: nothing was written, but the
-    /// caller observed state derived from every relation the program
-    /// touched (a written relation's candidate content reveals its prior
-    /// content too).
+    /// Everything this footprint touches, demoted to reads — how an
+    /// execution shown to its caller (prepared or staged) is accounted:
+    /// nothing was written yet, but the caller observed state derived
+    /// from every relation the program touched (a written relation's
+    /// candidate content reveals its prior content too).
     pub fn as_reads(&self) -> Footprint {
         Footprint {
             reads: self.rels(),

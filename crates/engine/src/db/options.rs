@@ -54,8 +54,8 @@ impl RetryPolicy {
 /// the session tolerates in exchange for cheaper commits.
 ///
 /// * [`ReadCommitted`](IsolationLevel::ReadCommitted) re-pins the head
-///   snapshot at every statement boundary ([`Session::execute`],
-///   [`Session::prepare`], [`Session::ask`], and each commit call), and
+///   snapshot at every statement boundary outside a transaction block
+///   ([`Session::prepare`], [`Session::ask`], each commit call), and
 ///   conflicts only on *write-write* overlap with concurrently
 ///   committed deltas (first committer wins). Non-repeatable reads
 ///   between statements are permitted; lost updates are not.

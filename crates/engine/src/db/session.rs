@@ -1,4 +1,4 @@
-//! Snapshot-pinned sessions and the optimistic commit attempt.
+//! Sessions, transaction blocks, and the optimistic commit attempt.
 
 use super::{
     CommitError, CommitKind, CommitTicket, Database, Footprint, IsolationLevel, SessionOptions,
@@ -8,11 +8,12 @@ use super::{DatabaseBuilder, RetryPolicy};
 use crate::env::Env;
 use crate::exec::{Engine, Execution};
 use crate::sim::{ProtocolBug, StepPoint};
+use crate::value::Value;
 use std::sync::Arc;
 use txlog_base::obs::Counter;
-use txlog_base::TxResult;
+use txlog_base::{TxError, TxResult};
 use txlog_logic::{FFormula, FTerm};
-use txlog_relational::DbState;
+use txlog_relational::{DbState, Delta};
 
 /// Receipt for a successfully installed commit.
 #[derive(Clone, Copy, Debug)]
@@ -20,16 +21,16 @@ pub struct Commit {
     /// The head version this commit produced (versions start at 0 for
     /// the initial state and increase by 1 per commit).
     pub version: u64,
-    /// How many conflicted attempts preceded the successful one.
+    /// Conflicted attempts before success; only [`Session::commit`] retries.
     pub retries: u32,
     /// True when the commit installed by forwarding its delta onto a
     /// moved head instead of re-executing.
     pub forwarded: bool,
 }
 
-/// A dry-run execution paired with the transaction's static footprint:
+/// An execution paired with the transaction's static footprint:
 /// everything a single commit attempt needs, produced by
-/// [`Session::prepare`] and consumed by [`Session::commit_prepared`].
+/// [`Session::prepare`] (or accumulated by [`Session::stage`]).
 ///
 /// [`Session::commit`] fuses execute-and-attempt into one call (with
 /// internal retries); this decomposed form exists so the deterministic
@@ -47,11 +48,13 @@ impl Prepared {
     pub fn execution(&self) -> &Execution {
         &self.execution
     }
+}
 
-    /// The transaction's static footprint.
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
+/// The statements staged since [`Session::begin`], folded into one.
+struct Block {
+    staged: Prepared,
+    /// How many statements are staged.
+    len: u32,
 }
 
 /// Why a single commit attempt did not install — either a retryable
@@ -64,6 +67,8 @@ enum AttemptError {
     Fatal(CommitError),
 }
 
+const NO_BLOCK: &str = "no transaction block is open";
+
 /// A snapshot-pinned view of a [`Database`]: read freely, then commit
 /// optimistically. Cheap to open; hold one per writer.
 ///
@@ -74,6 +79,11 @@ enum AttemptError {
 /// re-pin to the head at every statement boundary. Serializable
 /// sessions additionally accumulate the static read footprint of every
 /// statement and certify it at commit time.
+///
+/// A *transaction block* is one transaction over several calls: it pins
+/// once at [`begin`](Session::begin), executes each staged statement once
+/// on that pin plus the statements before it, reads the staged state, and
+/// commits in one attempt, never re-executed; a refused block is closed.
 pub struct Session<'db> {
     db: &'db Database,
     base_version: u64,
@@ -86,6 +96,8 @@ pub struct Session<'db> {
     /// since `reads_since` (Serializable only; stays empty elsewhere).
     read_fp: Footprint,
     opts: SessionOptions,
+    /// The open transaction block, built on `base`: moving the pin closes it.
+    block: Option<Block>,
 }
 
 impl<'db> Session<'db> {
@@ -101,15 +113,19 @@ impl<'db> Session<'db> {
             reads_since: head.version,
             read_fp: Footprint::empty(),
             opts,
+            block: None,
         }
     }
 
-    /// The snapshot this session reads from and executes against.
+    /// The state this session reads: the pinned snapshot, with an open
+    /// block's staged statements applied.
     pub fn state(&self) -> &DbState {
-        &self.base
+        self.block
+            .as_ref()
+            .map_or(&self.base, |b| &b.staged.execution.state)
     }
 
-    /// An `Arc` share of the snapshot (outlives the session).
+    /// An `Arc` share of the pinned snapshot (outlives the session).
     pub fn snapshot(&self) -> Arc<DbState> {
         Arc::clone(&self.base)
     }
@@ -125,32 +141,39 @@ impl<'db> Session<'db> {
         self.opts.isolation
     }
 
-    /// Re-pin the session to the current committed head. Also discards
-    /// the accumulated read set of a serializable session — the reads
-    /// are re-taken against the fresh snapshot.
+    /// Re-pin the session to the current committed head, closing any
+    /// block. Also discards the accumulated read set of a serializable
+    /// session — the reads are re-taken against the fresh snapshot.
     pub fn refresh(&mut self) {
         self.db.step(StepPoint::Pin);
         let head = self.db.head();
-        self.base_version = head.version;
-        self.base = Arc::clone(&head.state);
+        let (version, state) = (head.version, Arc::clone(&head.state));
         drop(head);
-        self.reads_since = self.base_version;
+        self.pin(version, state);
+        self.reads_since = version;
         self.read_fp = Footprint::empty();
     }
 
+    /// Move the snapshot, closing any block built on the old one.
+    fn pin(&mut self, version: u64, state: Arc<DbState>) {
+        self.base_version = version;
+        self.base = state;
+        self.block = None;
+    }
+
     /// A statement boundary: read-committed sessions re-pin to the
-    /// current head here; everyone else keeps their snapshot.
+    /// current head here (outside a block); everyone else keeps theirs.
     fn pin_statement(&mut self) {
-        if self.opts.isolation == IsolationLevel::ReadCommitted {
+        if self.opts.isolation == IsolationLevel::ReadCommitted && self.block.is_none() {
             self.refresh();
         }
     }
 
     /// Record a statement's read footprint for commit-time
-    /// certification (serializable sessions only).
-    fn record_reads(&mut self, fp: &Footprint) {
+    /// certification; only serializable sessions certify, or build `reads`.
+    fn record_reads(&mut self, reads: impl FnOnce() -> Footprint) {
         if self.opts.isolation == IsolationLevel::Serializable {
-            self.read_fp.merge(fp);
+            self.read_fp.merge(&reads());
         }
     }
 
@@ -162,32 +185,27 @@ impl<'db> Session<'db> {
         }
     }
 
-    /// Execute a transaction against the session's view *without*
-    /// committing — a dry run returning the candidate [`Execution`].
-    /// A statement boundary: read-committed sessions re-pin first;
-    /// serializable sessions record the program's whole footprint as
-    /// reads (the caller observes state derived from everything the
-    /// program touched).
-    pub fn execute(&mut self, tx: &FTerm, env: &Env) -> TxResult<Execution> {
-        self.pin_statement();
-        self.record_reads(&Footprint::of_program(tx).as_reads());
-        self.db.engine()?.execute_traced(&self.base, tx, env)
-    }
-
-    /// Evaluate a truth-valued formula against the session's view — a
-    /// statement boundary, like [`Session::execute`], with the
-    /// formula's footprint recorded as reads under
-    /// [`IsolationLevel::Serializable`].
+    /// Evaluate a truth-valued formula against [`Session::state`] — a
+    /// statement boundary, with the formula's footprint recorded as
+    /// reads under [`IsolationLevel::Serializable`].
     pub fn ask(&mut self, p: &FFormula, env: &Env) -> TxResult<bool> {
         self.pin_statement();
-        self.record_reads(&Footprint::of_formula(p));
-        self.db.engine()?.eval_truth(&self.base, p, env)
+        self.record_reads(|| Footprint::of_formula(p));
+        self.db.engine()?.eval_truth(self.state(), p, env)
     }
 
-    /// Execute against the session's view and package the result with
+    /// Evaluate an object-valued term against [`Session::state`] — a
+    /// statement boundary, like [`Session::ask`].
+    pub fn query(&mut self, q: &FTerm, env: &Env) -> TxResult<Value> {
+        self.pin_statement();
+        self.record_reads(|| Footprint::of_program(q).as_reads());
+        self.db.engine()?.eval_obj(self.state(), q, env)
+    }
+
+    /// Execute against the pinned snapshot and package the result with
     /// the transaction's footprint, ready for
     /// [`Session::commit_prepared`]. A statement boundary, like
-    /// [`Session::execute`].
+    /// [`Session::ask`].
     pub fn prepare(&mut self, tx: &FTerm, env: &Env) -> TxResult<Prepared> {
         self.pin_statement();
         self.run(&self.db.engine()?, tx, env, true)
@@ -214,7 +232,7 @@ impl<'db> Session<'db> {
     ) -> TxResult<Prepared> {
         let footprint = Footprint::of_program(tx);
         if observable {
-            self.record_reads(&footprint.as_reads());
+            self.record_reads(|| footprint.as_reads());
         }
         self.db.step(StepPoint::Execute);
         let execution = engine.execute_traced(&self.base, tx, env)?;
@@ -222,6 +240,61 @@ impl<'db> Session<'db> {
             execution,
             footprint,
         })
+    }
+
+    /// Open a transaction block on a fresh pin (closing any open one).
+    pub fn begin(&mut self) {
+        self.refresh();
+        let execution = Execution {
+            state: (*self.base).clone(),
+            delta: Delta::empty(),
+        };
+        let staged = Prepared {
+            execution,
+            footprint: Footprint::empty(),
+        };
+        self.block = Some(Block { staged, len: 0 });
+    }
+
+    /// The open block's accumulated execution and footprint — what
+    /// [`Session::submit_block`] would submit. `None` outside a block.
+    pub fn staged(&self) -> Option<&Prepared> {
+        self.block.as_ref().map(|b| &b.staged)
+    }
+
+    /// Execute a statement once against [`Session::state`] and fold it
+    /// into the open block, its footprint recorded as reads like
+    /// [`Session::prepare`]'s. Returns the block's statement count.
+    pub fn stage(&mut self, tx: &FTerm, env: &Env) -> TxResult<u32> {
+        if self.block.is_none() {
+            return Err(TxError::eval(NO_BLOCK));
+        }
+        let engine = self.db.engine()?;
+        let footprint = Footprint::of_program(tx);
+        self.record_reads(|| footprint.as_reads());
+        self.db.step(StepPoint::Execute);
+        let block = self.block.as_mut().expect("a block is open");
+        let staged = &mut block.staged;
+        let next = engine.execute_traced(&staged.execution.state, tx, env)?;
+        staged.execution.delta = staged.execution.delta.compose(&next.delta);
+        staged.execution.state = next.state;
+        staged.footprint.merge(&footprint);
+        block.len += 1;
+        Ok(block.len)
+    }
+
+    /// Discard the open block; returns its statement count, if any.
+    pub fn abort(&mut self) -> Option<u32> {
+        self.block.take().map(|b| b.len)
+    }
+
+    /// Submit the open block through [`Session::submit_prepared`]: one
+    /// attempt, no re-execution. The block closes whatever the outcome.
+    pub fn submit_block(&mut self, label: &str) -> Result<(Commit, CommitTicket), CommitError> {
+        let Some(block) = self.block.take() else {
+            return Err(CommitError::Execution(TxError::eval(NO_BLOCK)));
+        };
+        self.submit_prepared(label, &block.staged)
     }
 
     /// One commit attempt of a prepared execution: no internal retry and
@@ -274,30 +347,12 @@ impl<'db> Session<'db> {
     /// Execute and commit, retrying conflicted attempts per the
     /// database's [`RetryPolicy`]. On success the session is re-pinned
     /// to the new head.
+    ///
+    /// A *program-only* transaction: on conflict it re-executes at the
+    /// head. A preceding [`Session::ask`] is outside it, except under
+    /// serializable, where every statement since the pin is certified.
+    /// A caller whose writes depend on its reads opens a block instead.
     pub fn commit(&mut self, label: &str, tx: &FTerm, env: &Env) -> Result<Commit, CommitError> {
-        self.commit_inner(label, tx, env, true)
-    }
-
-    /// Like [`Session::commit`] but with a single attempt: a conflict
-    /// surfaces as [`CommitError::Conflict`] instead of retrying (the
-    /// session stays on its snapshot so the caller can inspect and
-    /// decide).
-    pub fn try_commit(
-        &mut self,
-        label: &str,
-        tx: &FTerm,
-        env: &Env,
-    ) -> Result<Commit, CommitError> {
-        self.commit_inner(label, tx, env, false)
-    }
-
-    fn commit_inner(
-        &mut self,
-        label: &str,
-        tx: &FTerm,
-        env: &Env,
-        retry: bool,
-    ) -> Result<Commit, CommitError> {
         let db = self.db;
         let engine = db.engine()?;
         let label = self.full_label(label).into_owned();
@@ -321,9 +376,6 @@ impl<'db> Session<'db> {
                     head_version,
                     fresh,
                 }) => {
-                    if !retry {
-                        return Err(CommitError::Conflict { head_version });
-                    }
                     if retries >= policy.max_retries {
                         return Err(CommitError::RetriesExhausted {
                             attempts: retries + 1,
@@ -335,16 +387,15 @@ impl<'db> Session<'db> {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
-                    self.base_version = head_version;
-                    self.base = fresh;
+                    self.pin(head_version, fresh);
                 }
             }
         }
     }
 
     /// One commit attempt of an executed candidate — `commit`'s retry
-    /// loop and `commit_prepared` both end here: lock the head, certify
-    /// a serializable session's reads, choose the candidate (head
+    /// loop and `submit_prepared` both end here: lock the head, certify a
+    /// serializable session's reads, choose the candidate (head
     /// unmoved: the execution as it is; moved but provably disjoint: its
     /// delta rebased onto the head; otherwise conflict), hand it to
     /// [`Database::stage`], unlock, dispatch events, re-pin.
@@ -423,8 +474,7 @@ impl<'db> Session<'db> {
             .map_err(AttemptError::Fatal)?;
         drop(head);
         db.events.drain(&db.metrics);
-        self.base_version = version;
-        self.base = state;
+        self.pin(version, state);
         self.reads_since = version;
         self.read_fp = Footprint::empty();
         let commit = Commit {

@@ -143,7 +143,7 @@ fn overlapping_commit_retries_and_serializes() {
 }
 
 #[test]
-fn try_commit_surfaces_conflict() {
+fn prepared_commit_surfaces_conflict() {
     let db = Database::new(schema()).unwrap();
     let mut setup = db.session();
     setup
@@ -153,13 +153,15 @@ fn try_commit_surfaces_conflict() {
     let mut b = db.session();
     let raise = tx("foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 10) end");
     a.commit("raise-a", &raise, &Env::new()).unwrap();
-    match b.try_commit("raise-b", &raise, &Env::new()) {
+    let stale = b.prepare(&raise, &Env::new()).unwrap();
+    match b.commit_prepared("raise-b", &stale) {
         Err(CommitError::Conflict { head_version }) => assert_eq!(head_version, 2),
         other => panic!("expected Conflict, got {other:?}"),
     }
     // refresh and try again: succeeds
     b.refresh();
-    b.try_commit("raise-b", &raise, &Env::new()).unwrap();
+    let fresh = b.prepare(&raise, &Env::new()).unwrap();
+    b.commit_prepared("raise-b", &fresh).unwrap();
 }
 
 #[test]
@@ -413,6 +415,44 @@ fn materialized_row_commits_with_the_fire_that_caused_it() {
         .relation(fired)
         .unwrap()
         .contains_fields(&[Atom::str("ann")]));
+}
+
+/// A system relation is written only by the engine: a user
+/// transaction touching one is refused, so the `FIRED` row that is
+/// never-rehire's memory cannot be erased to let a rehire through.
+#[test]
+fn materialized_relation_refuses_user_writes() {
+    let db = Database::builder(schema())
+        .event_pattern(PatternDef::materialized(
+            "fired",
+            Pattern::parse("delete(EMP, N, _)").unwrap(),
+            "FIRED",
+            &["N"],
+        ))
+        .unwrap()
+        .constraint(Box::new(NeverRehire))
+        .build()
+        .unwrap();
+    let ctx = ParseCtx::with_relations(&["EMP", "LOG", "FIRED"]);
+    let tx = |src: &str| parse_fterm(src, &ctx, &[]).unwrap();
+    let env = Env::new();
+    let rehire = tx("insert(tuple('ann', 700), EMP)");
+    let refused_by_never_rehire = |r: Result<Commit, CommitError>| {
+        matches!(&r, Err(CommitError::ConstraintViolation { constraint })
+                 if constraint == "never-rehire")
+    };
+    let mut s = db.session();
+    s.commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &env)
+        .unwrap();
+    s.commit("fire", &tx("delete(tuple('ann', 500), EMP)"), &env)
+        .unwrap();
+    assert!(refused_by_never_rehire(s.commit("rehire", &rehire, &env)));
+    match s.commit("erase", &tx("delete(tuple('ann'), FIRED)"), &env) {
+        Err(CommitError::Execution(e)) => assert!(e.to_string().contains("FIRED"), "{e}"),
+        other => panic!("expected the FIRED delete to be refused, got {other:?}"),
+    }
+    assert!(refused_by_never_rehire(s.commit("rehire", &rehire, &env)));
+    assert_eq!(db.head_version(), 2);
 }
 
 /// A commit refused by a constraint, or by an overloaded log, advances
@@ -961,6 +1001,91 @@ fn read_committed_repins_at_statement_boundaries() {
     assert!(
         !si.ask(&p, &Env::new()).unwrap(),
         "snapshot keeps its pinned (empty) state"
+    );
+}
+
+/// The reference a staged block must agree with: its statements as
+/// one left-nested sequential composition, `Λ` when there are none.
+fn compose(parts: &[FTerm]) -> FTerm {
+    let mut it = parts.iter().cloned();
+    let Some(first) = it.next() else {
+        return FTerm::Identity;
+    };
+    it.fold(first, |acc, next| FTerm::Seq(Box::new(acc), Box::new(next)))
+}
+
+#[test]
+fn staged_block_equals_one_sequential_execution() {
+    let db = Database::new(schema()).unwrap();
+    db.session()
+        .commit("seed", &tx("insert(tuple('bob', 300), EMP)"), &Env::new())
+        .unwrap();
+    let blocks: [&[&str]; 4] = [
+        &[],
+        // insert, then modify the tuple just inserted
+        &[
+            "insert(tuple('ann', 500), EMP)",
+            "foreach e: 2tup | e in EMP & e-name(e) = 'ann' do modify(e, salary, 600) end",
+        ],
+        &[
+            "insert(tuple('memo'), LOG)",
+            "foreach e: 2tup | e in EMP do modify(e, salary, salary(e) + 1) end",
+            "delete(tuple('bob', 301), EMP)",
+        ],
+        &[
+            "insert(tuple('cy', 1), EMP)",
+            "delete(tuple('cy', 1), EMP)",
+            "insert(tuple('cy', 2), EMP)",
+        ],
+    ];
+    let engine = db.engine().unwrap();
+    for block in blocks {
+        let parts: Vec<FTerm> = block.iter().map(|src| tx(src)).collect();
+        let mut s = db.session();
+        s.begin();
+        for (k, part) in parts.iter().enumerate() {
+            assert_eq!(s.stage(part, &Env::new()).unwrap() as usize, k + 1);
+        }
+        let whole = engine
+            .execute_traced(&s.snapshot(), &compose(&parts), &Env::new())
+            .unwrap();
+        let staged = s.staged().expect("the block is open").execution();
+        assert!(staged.state.content_eq(&whole.state), "{block:?}");
+        assert_eq!(staged.delta, whole.delta, "{block:?}");
+        assert!(
+            s.state().content_eq(&whole.state),
+            "the block reads its staging"
+        );
+    }
+}
+
+#[test]
+fn read_committed_block_does_not_repin() {
+    let db = Database::new(schema()).unwrap();
+    let mut rc = db.session_with(SessionOptions::read_committed());
+    let mut writer = db.session();
+    let any_emp = txlog_logic::parse_fformula("exists e: 2tup . e in EMP", &ctx(), &[]).unwrap();
+    rc.begin();
+    let pinned = rc.version();
+    writer
+        .commit("hire", &tx("insert(tuple('ann', 500), EMP)"), &Env::new())
+        .unwrap();
+    assert!(
+        !rc.ask(&any_emp, &Env::new()).unwrap(),
+        "the block reads its pin"
+    );
+    rc.stage(&tx("insert(tuple('memo'), LOG)"), &Env::new())
+        .unwrap();
+    assert!(!rc.ask(&any_emp, &Env::new()).unwrap());
+    assert_eq!(
+        rc.version(),
+        pinned,
+        "no statement inside the block re-pins"
+    );
+    assert_eq!(rc.abort(), Some(1));
+    assert!(
+        rc.ask(&any_emp, &Env::new()).unwrap(),
+        "outside a block the statement boundary re-pins again"
     );
 }
 

@@ -55,9 +55,7 @@
 //! schedule, and a greedily minimized schedule; replay either with
 //! [`run_seeded`] / [`run_with_schedule`].
 
-use crate::db::{
-    CommitError, CommitTicket, Database, IsolationLevel, Prepared, Session, SessionOptions,
-};
+use crate::db::{CommitError, CommitTicket, Database, IsolationLevel, Session, SessionOptions};
 use crate::env::Env;
 use crate::group::WriterOp;
 use crate::wal::{recover_log, Durability, MemStore, WalError};
@@ -172,14 +170,15 @@ pub trait StepHook: Send + Sync {
 /// One scripted step of a simulated session.
 #[derive(Clone, Debug)]
 pub enum SimStep {
-    /// Commit a transaction (pin a fresh snapshot, prepare, submit).
+    /// Commit a transaction: a block of one statement (begin, stage,
+    /// submit).
     Tx(FTerm),
-    /// Read `guard` on the transaction's snapshot, then commit `tx`
-    /// only if the guard held — the read-then-write shape that
-    /// distinguishes snapshot isolation (the guard's reads are *not*
-    /// in the committed program's footprint, so write-skew can slip
-    /// through) from serializable (the session's accumulated reads are
-    /// certified at commit).
+    /// A transaction block: [`Session::begin`], read `guard` in the
+    /// block, stage `tx` only if the guard held, submit the block — the
+    /// read-then-write shape that distinguishes snapshot isolation (the
+    /// guard's reads are *not* in the committed program's footprint, so
+    /// write-skew can slip through) from serializable (the block's reads
+    /// are certified at commit).
     Guarded {
         /// Truth-valued formula evaluated on the pinned snapshot.
         guard: FFormula,
@@ -793,7 +792,7 @@ impl StepHook for SimHook {
 enum Phase {
     Pin,
     Guard,
-    Prepare,
+    Stage,
     Submit,
     AwaitAck,
     Done,
@@ -804,7 +803,6 @@ struct Runner<'db> {
     tx: usize,
     phase: Phase,
     attempts: u32,
-    prepared: Option<Prepared>,
     ticket: Option<CommitTicket>,
     /// Truth values this session observed per formula (rendered), since
     /// its last own commit — the non-repeatable-read detector's memory.
@@ -813,9 +811,12 @@ struct Runner<'db> {
 
 impl Runner<'_> {
     fn next_tx(&mut self, script_len: usize) {
+        // a block whose guard failed or whose statement errored is done
+        if let Some(s) = &mut self.session {
+            s.abort();
+        }
         self.tx += 1;
         self.attempts = 0;
-        self.prepared = None;
         self.ticket = None;
         self.phase = if self.tx >= script_len {
             Phase::Done
@@ -906,7 +907,6 @@ pub fn run_schedule(cfg: &SimConfig, chooser: &mut dyn Chooser) -> TxResult<SimO
                 Phase::Pin
             },
             attempts: 0,
-            prepared: None,
             ticket: None,
             obs: BTreeMap::new(),
         })
@@ -925,7 +925,7 @@ pub fn run_schedule(cfg: &SimConfig, chooser: &mut dyn Chooser) -> TxResult<SimO
         if hook.poisoned() && !out.poisoned {
             out.poisoned = true;
             for (i, r) in runners.iter_mut().enumerate() {
-                if matches!(r.phase, Phase::Pin | Phase::Prepare | Phase::Submit) {
+                if matches!(r.phase, Phase::Pin | Phase::Stage | Phase::Submit) {
                     let reason = AbortKind::Poisoned;
                     out.aborted.push(AbortedTx {
                         session: i,
@@ -1096,7 +1096,7 @@ fn advance<'db>(
     let script = &cfg.sessions[i];
     let r = &mut runners[i];
     // a standalone Read is one macro-step: it commits nothing, so the
-    // pin/prepare/submit machinery below never applies to it. The
+    // pin/stage/submit machinery below never applies to it. The
     // session is *not* refreshed — only read-committed sessions re-pin
     // (inside `Session::ask`), which is exactly what makes the
     // non-repeatable-read anomaly level-dependent.
@@ -1126,16 +1126,15 @@ fn advance<'db>(
         }
         return Ok(());
     }
+    // every scripted commit is a transaction block, as a served one is:
+    // `begin` pins, a guard is a block read, the program is staged, and
+    // the block is submitted
     match r.phase {
         Phase::Pin => {
-            match r.session.as_mut() {
-                Some(s) => s.refresh(),
-                None => {
-                    r.session =
-                        Some(db.session_with(SessionOptions::new().isolation(script.isolation)));
-                }
-            }
-            let sess = r.session.as_ref().expect("session just pinned");
+            let sess = r.session.get_or_insert_with(|| {
+                db.session_with(SessionOptions::new().isolation(script.isolation))
+            });
+            sess.begin();
             let v = sess.version();
             // snapshot-consistency oracle: the pinned snapshot must be
             // exactly the committed state of its version
@@ -1153,7 +1152,7 @@ fn advance<'db>(
             }
             r.phase = match &script.steps[r.tx] {
                 SimStep::Guarded { .. } => Phase::Guard,
-                _ => Phase::Prepare,
+                _ => Phase::Stage,
             };
         }
         Phase::Guard => {
@@ -1162,7 +1161,7 @@ fn advance<'db>(
             };
             let sess = r.session.as_mut().expect("pin precedes guard");
             match sess.ask(guard, env) {
-                Ok(true) => r.phase = Phase::Prepare,
+                Ok(true) => r.phase = Phase::Stage,
                 Ok(false) => {
                     hook.note(TraceEvent::GuardSkipped {
                         session: i,
@@ -1175,18 +1174,15 @@ fn advance<'db>(
                 }
             }
         }
-        Phase::Prepare => {
+        Phase::Stage => {
             let tx = match &script.steps[r.tx] {
                 SimStep::Tx(t) => t,
                 SimStep::Guarded { tx, .. } => tx,
                 SimStep::Read(_) => unreachable!("reads are handled above"),
             };
-            let sess = r.session.as_mut().expect("pin precedes prepare");
-            match sess.prepare(tx, env) {
-                Ok(p) => {
-                    r.prepared = Some(p);
-                    r.phase = Phase::Submit;
-                }
+            let sess = r.session.as_mut().expect("pin precedes staging");
+            match sess.stage(tx, env) {
+                Ok(_) => r.phase = Phase::Submit,
                 Err(_) => {
                     abort(r, i, AbortKind::Execution, script.steps.len(), out, hook);
                 }
@@ -1195,9 +1191,8 @@ fn advance<'db>(
         Phase::Submit => {
             r.attempts += 1;
             let label = format!("{}-t{}", script.name, r.tx);
-            let prepared = r.prepared.take().expect("prepare precedes submit");
             let sess = r.session.as_mut().expect("pin precedes submit");
-            match sess.submit_prepared(&label, &prepared) {
+            match sess.submit_block(&label) {
                 Ok((c, ticket)) => {
                     // installed: the commit is part of the history from
                     // here on, whatever its acknowledgment brings
@@ -1295,7 +1290,7 @@ fn advance<'db>(
                     );
                 }
                 Err(CommitError::RetriesExhausted { .. }) => {
-                    // submit_prepared never retries internally
+                    // single attempts never retry internally
                     unreachable!("single attempts do not exhaust retries")
                 }
             }
@@ -1453,7 +1448,6 @@ fn state_key(
             Some(s) => s.version().hash(&mut h),
             None => u64::MAX.hash(&mut h),
         }
-        r.prepared.is_some().hash(&mut h);
         r.ticket.is_some().hash(&mut h);
         // the observation memory feeds the non-repeatable-read count:
         // two states that differ only here still have different futures

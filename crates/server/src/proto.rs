@@ -121,13 +121,15 @@ pub enum Request {
         program: bool,
     },
     /// Open a multi-request transaction: subsequent `Execute`s stage
-    /// instead of committing, until `Commit` or `Abort`.
+    /// instead of committing, and `Query`/`Ask`/`ShowState` read the
+    /// staged state, until `Commit` or `Abort`.
     Begin {
         /// Isolation level for the block's session. `None` means the
         /// server's default — Snapshot.
         isolation: Option<IsolationLevel>,
     },
-    /// Commit the staged statements as one transaction.
+    /// Commit the staged statements as one transaction, in one attempt:
+    /// a refused commit closes the block, to be re-run from `Begin`.
     Commit {
         /// Commit label for the composed transaction.
         label: String,
@@ -219,7 +221,7 @@ pub enum Response {
     Committed {
         /// The head version the commit produced.
         version: u64,
-        /// Conflicted attempts before the successful one.
+        /// Always 0: a block commit makes one attempt and never retries.
         retries: u32,
         /// Whether the commit installed by delta-forwarding.
         forwarded: bool,
@@ -304,9 +306,7 @@ pub enum ErrorCode {
     /// The connection's notification queue overflowed: the subscription
     /// named in the message was dropped (its pending frames discarded)
     /// because the client was not draining pushed frames fast enough.
-    /// `detail` is the queue capacity. Re-subscribe to resume; matches
-    /// already materialized can be recovered by querying the pattern's
-    /// history relation.
+    /// `detail` is the queue capacity. Re-subscribe to resume.
     SubscriptionOverflow = 13,
 }
 

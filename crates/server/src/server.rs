@@ -43,7 +43,7 @@ use txlog_base::Atom;
 use txlog_engine::db::{CommitError, Database, Session, SessionOptions};
 use txlog_engine::{Env, EventCallback, SubId};
 use txlog_events::Pattern;
-use txlog_logic::{parse_fformula, parse_fterm, FTerm, ParseCtx};
+use txlog_logic::{parse_fformula, parse_fterm, ParseCtx};
 use txlog_relational::{DbState, Schema};
 
 use crate::frame::{
@@ -316,13 +316,12 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Everything one connection's worker owns: its session (snapshot +
-/// commit pipeline access), the staged transaction opened by `Begin`
-/// (if any), and a handle on its notification mailbox.
+/// Everything one connection's worker owns: its session (snapshot,
+/// the transaction block opened by `Begin`, commit pipeline access) and
+/// a handle on its notification mailbox.
 struct Conn<'a> {
     session: Session<'a>,
     ctx: ParseCtx,
-    staged: Option<Staged>,
     /// This connection's serial, namespacing its registry names.
     serial: u64,
     /// The bounded notification mailbox, shared with the event hub's
@@ -430,14 +429,6 @@ impl Drop for Hangup<'_> {
     }
 }
 
-/// A multi-request transaction in progress: the statements staged so
-/// far and the state they produce, used to answer queries inside the
-/// block before anything commits.
-struct Staged {
-    parts: Vec<FTerm>,
-    preview: DbState,
-}
-
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The write half. The worker holds it from reading a request until
@@ -510,7 +501,6 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     let mut conn = Conn {
         session: shared.db.session(),
         ctx: ParseCtx::new(shared.db.schema().decls().iter().map(|d| d.name)),
-        staged: None,
         serial: shared.next_conn.fetch_add(1, Ordering::AcqRel),
         notify: Arc::clone(&mailbox),
     };
@@ -616,71 +606,49 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
             "handshake already complete",
         )),
         Request::Execute { label, program } => answer(do_execute(shared, conn, &label, &program)),
-        Request::Query { expr } => answer(query_value(shared, conn, &expr)),
-        Request::Ask { formula } => answer(query_truth(shared, conn, &formula)),
+        Request::Query { expr } => answer(query_value(conn, &expr)),
+        Request::Ask { formula } => answer(query_truth(conn, &formula)),
         Request::Explain { target, program } => answer(explain(shared, conn, &target, program)),
         Request::Begin { isolation } => {
-            if conn.staged.is_some() {
-                return Response::Error(WireError::new(
-                    ErrorCode::BadState,
-                    "a transaction is already open",
-                ));
+            if conn.session.staged().is_some() {
+                return bad_state("a transaction is already open");
             }
             // a requested level re-opens the connection's session at
             // that level (sessions fix their level at open); absent, the
             // session keeps whatever it runs at, the server default
-            match isolation {
-                Some(level) if level != conn.session.isolation() => {
-                    conn.session = shared
-                        .db
-                        .session_with(SessionOptions::new().isolation(level));
-                }
-                _ => conn.session.refresh(),
+            if let Some(level) = isolation.filter(|l| *l != conn.session.isolation()) {
+                conn.session = shared
+                    .db
+                    .session_with(SessionOptions::new().isolation(level));
             }
-            conn.staged = Some(Staged {
-                parts: Vec::new(),
-                preview: conn.session.state().clone(),
-            });
+            conn.session.begin();
             Response::Begun
         }
-        Request::Commit { label } => match conn.staged.take() {
-            None => Response::Error(WireError::new(
-                ErrorCode::BadState,
-                "no transaction is open",
-            )),
-            Some(staged) => {
-                let composed = compose(staged.parts.clone());
-                match conn.session.commit(&label, &composed, &Env::new()) {
-                    Ok(c) => Response::Committed {
-                        version: c.version,
-                        retries: c.retries,
-                        forwarded: c.forwarded,
-                    },
-                    Err(e) => {
-                        if matches!(e, CommitError::Overload { .. }) {
-                            shared.metrics().bump(Counter::ServerOverloads);
-                        }
-                        // Keep the staged work so the client can abort
-                        // explicitly or retry the commit.
-                        conn.staged = Some(staged);
-                        Response::Error(WireError::from_commit(&e))
-                    }
-                }
-            }
-        },
-        Request::Abort => match conn.staged.take() {
-            None => Response::Error(WireError::new(
-                ErrorCode::BadState,
-                "no transaction is open",
-            )),
-            Some(staged) => Response::Aborted {
-                discarded: u32::try_from(staged.parts.len()).unwrap_or(u32::MAX),
+        Request::Commit { label } => match conn.session.staged() {
+            None => bad_state("no transaction is open"),
+            // a failed block commit closes the block as well: it can
+            // never commit, so the client re-runs it from `Begin`
+            Some(_) => match conn.session.submit_block(&label).and_then(|(c, ticket)| {
+                ticket.wait()?;
+                Ok(c)
+            }) {
+                Ok(c) => Response::Committed {
+                    version: c.version,
+                    retries: c.retries,
+                    forwarded: c.forwarded,
+                },
+                Err(e) => Response::Error(commit_err(shared, &e)),
             },
         },
+        Request::Abort => match conn.session.abort() {
+            Some(discarded) => Response::Aborted { discarded },
+            None => bad_state("no transaction is open"),
+        },
         Request::ShowState => {
-            let schema = shared.db.schema();
-            let text = with_view(conn, |state| render_state(schema, state));
-            Response::State { text }
+            view(conn);
+            Response::State {
+                text: render_state(shared.db.schema(), conn.session.state()),
+            }
         }
         Request::Metrics => Response::Metrics {
             json: shared.metrics().snapshot().to_json(false),
@@ -701,10 +669,7 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
                     shared.db.unsubscribe(id);
                     Response::Unsubscribed { name }
                 }
-                None => Response::Error(WireError::new(
-                    ErrorCode::BadState,
-                    format!("no subscription named {name}"),
-                )),
+                None => bad_state(format!("no subscription named {name}")),
             }
         }
     }
@@ -716,10 +681,7 @@ fn handle_request<'a>(shared: &'a Shared, conn: &mut Conn<'a>, req: Request) -> 
 /// connection's bounded mailbox.
 fn subscribe(shared: &Shared, conn: &mut Conn<'_>, name: String, pattern: &str) -> Response {
     if lock(&conn.notify.inner).subs.contains_key(&name) {
-        return Response::Error(WireError::new(
-            ErrorCode::BadState,
-            format!("a subscription named {name} is already active"),
-        ));
+        return bad_state(format!("a subscription named {name} is already active"));
     }
     let parsed = match Pattern::parse(pattern) {
         Ok(p) => p,
@@ -790,16 +752,6 @@ fn answer(r: Result<Response, WireError>) -> Response {
     }
 }
 
-/// Fold staged statements into one transaction: `Λ` for an empty
-/// block, otherwise left-nested sequential composition.
-fn compose(parts: Vec<FTerm>) -> FTerm {
-    let mut it = parts.into_iter();
-    let Some(first) = it.next() else {
-        return FTerm::Identity;
-    };
-    it.fold(first, |acc, next| FTerm::Seq(Box::new(acc), Box::new(next)))
-}
-
 fn parse_err(e: txlog_base::TxError) -> WireError {
     WireError::new(ErrorCode::Parse, e.to_string())
 }
@@ -808,6 +760,28 @@ fn exec_err(e: txlog_base::TxError) -> WireError {
     WireError::new(ErrorCode::Execution, e.to_string())
 }
 
+/// The request contradicts the connection's state.
+fn bad_state(message: impl Into<String>) -> Response {
+    Response::Error(WireError::new(ErrorCode::BadState, message))
+}
+
+/// The wire form of a failed commit, counting overloads on the way.
+fn commit_err(shared: &Shared, e: &CommitError) -> WireError {
+    if matches!(e, CommitError::Overload { .. }) {
+        shared.metrics().bump(Counter::ServerOverloads);
+    }
+    WireError::from_commit(e)
+}
+
+/// Settle what a read sees: inside a block, the block's staged state;
+/// outside one, the head, so re-pin first.
+fn view(conn: &mut Conn<'_>) {
+    if conn.session.staged().is_none() {
+        conn.session.refresh();
+    }
+}
+
+/// Stage the program inside a block; outside one, commit it at the head.
 fn do_execute(
     shared: &Shared,
     conn: &mut Conn<'_>,
@@ -815,49 +789,20 @@ fn do_execute(
     program: &str,
 ) -> Result<Response, WireError> {
     let tx = parse_fterm(program, &conn.ctx, &[]).map_err(parse_err)?;
-    match &mut conn.staged {
-        Some(staged) => {
-            // Inside a Begin block: run against the preview so the
-            // client sees its own writes, but commit nothing yet.
-            let engine = shared.db.engine().map_err(exec_err)?;
-            let next = engine
-                .execute(&staged.preview, &tx, &Env::new())
-                .map_err(exec_err)?;
-            staged.preview = next;
-            staged.parts.push(tx);
-            Ok(Response::Staged {
-                statements: u32::try_from(staged.parts.len()).unwrap_or(u32::MAX),
-            })
-        }
-        None => {
-            conn.session.refresh();
-            match conn.session.commit(label, &tx, &Env::new()) {
-                Ok(c) => Ok(Response::Executed {
-                    version: c.version,
-                    retries: c.retries,
-                    forwarded: c.forwarded,
-                }),
-                Err(e) => {
-                    if matches!(e, CommitError::Overload { .. }) {
-                        shared.metrics().bump(Counter::ServerOverloads);
-                    }
-                    Err(WireError::from_commit(&e))
-                }
-            }
-        }
+    if conn.session.staged().is_some() {
+        let statements = conn.session.stage(&tx, &Env::new()).map_err(exec_err)?;
+        return Ok(Response::Staged { statements });
     }
-}
-
-/// The state a read-only request sees: the staged preview inside a
-/// transaction block, the freshly refreshed head outside one.
-fn with_view<T>(conn: &mut Conn<'_>, f: impl FnOnce(&DbState) -> T) -> T {
-    match &conn.staged {
-        Some(s) => f(&s.preview),
-        None => {
-            conn.session.refresh();
-            f(conn.session.state())
-        }
-    }
+    conn.session.refresh();
+    let c = conn
+        .session
+        .commit(label, &tx, &Env::new())
+        .map_err(|e| commit_err(shared, &e))?;
+    Ok(Response::Executed {
+        version: c.version,
+        retries: c.retries,
+        forwarded: c.forwarded,
+    })
 }
 
 /// Render a state with the schema's relation names instead of raw
@@ -882,26 +827,20 @@ fn render_state(schema: &Schema, state: &DbState) -> String {
     out
 }
 
-fn query_value(shared: &Shared, conn: &mut Conn<'_>, expr: &str) -> Result<Response, WireError> {
+fn query_value(conn: &mut Conn<'_>, expr: &str) -> Result<Response, WireError> {
     let q = parse_fterm(expr, &conn.ctx, &[]).map_err(parse_err)?;
-    let engine = shared.db.engine().map_err(exec_err)?;
-    with_view(conn, |state| {
-        let v = engine.eval_obj(state, &q, &Env::new()).map_err(exec_err)?;
-        Ok(Response::Value {
-            text: format!("{v}"),
-        })
+    view(conn);
+    let v = conn.session.query(&q, &Env::new()).map_err(exec_err)?;
+    Ok(Response::Value {
+        text: format!("{v}"),
     })
 }
 
-fn query_truth(shared: &Shared, conn: &mut Conn<'_>, formula: &str) -> Result<Response, WireError> {
+fn query_truth(conn: &mut Conn<'_>, formula: &str) -> Result<Response, WireError> {
     let p = parse_fformula(formula, &conn.ctx, &[]).map_err(parse_err)?;
-    let engine = shared.db.engine().map_err(exec_err)?;
-    with_view(conn, |state| {
-        let value = engine
-            .eval_truth(state, &p, &Env::new())
-            .map_err(exec_err)?;
-        Ok(Response::Truth { value })
-    })
+    view(conn);
+    let value = conn.session.ask(&p, &Env::new()).map_err(exec_err)?;
+    Ok(Response::Truth { value })
 }
 
 fn explain(

@@ -120,7 +120,7 @@ impl Repl {
             "commit" | ":commit" => client
                 .commit(rest)
                 .map_err(wire)
-                .map(|c| format!("committed as version {} ({} retries)", c.version, c.retries)),
+                .map(|c| format!("committed as version {}", c.version)),
             "abort" | ":abort" => client
                 .abort()
                 .map_err(wire)

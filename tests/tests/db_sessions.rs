@@ -127,10 +127,10 @@ fn two_commit_scripts_serialize_under_every_schedule() {
     assert!(report.pruned > 0, "dedup must collapse identical prefixes");
 }
 
-/// `try_commit` never retries: the stale overlapping writer surfaces
-/// `Conflict` and the head is untouched by the failed attempt.
+/// A prepared commit never retries: the stale overlapping writer
+/// surfaces `Conflict` and the head is untouched by the failed attempt.
 #[test]
-fn try_commit_leaves_head_untouched_on_conflict() {
+fn prepared_commit_leaves_head_untouched_on_conflict() {
     let db = database();
     let env = Env::new();
 
@@ -139,9 +139,12 @@ fn try_commit_leaves_head_untouched_on_conflict() {
     s1.commit("winner", &raise_salary("emp-0", 10), &env)
         .expect("commits");
     let version_after_winner = db.head_version();
+    let stale = s2
+        .prepare(&raise_salary("emp-0", 1), &env)
+        .expect("prepares");
     let err = s2
-        .try_commit("loser", &raise_salary("emp-0", 1), &env)
-        .expect_err("stale overlapping try_commit conflicts");
+        .commit_prepared("loser", &stale)
+        .expect_err("stale overlapping prepared commit conflicts");
     assert!(matches!(
         err,
         txlog::engine::CommitError::Conflict { head_version } if head_version == version_after_winner
